@@ -37,6 +37,7 @@ from .experiments import (
     derive_seed,
     derive_seed_model,
     load_config,
+    run_experiments,
     run_nstep_experiment,
     run_onestep_experiment,
     run_spectrum_export,
@@ -99,6 +100,7 @@ __all__ = [
     "predict_one",
     "relative_l2",
     "rk4_step",
+    "run_experiments",
     "run_nstep_experiment",
     "run_onestep_experiment",
     "run_spectrum_export",

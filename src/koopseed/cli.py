@@ -4,24 +4,23 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .dynamics import Trajectory, load_trajectory_csv, save_trajectory_csv, sample_initial, simulate
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .experiments import (
     METHODS,
+    bundled_preset_names,
     derive_seed,
     derive_seed_model,
     derived_seed,
     generate_data,
     load_config,
     override_config,
+    run_experiments,
     run_nstep_experiment,
     run_onestep_experiment,
     run_spectrum_export,
 )
 from .model import KoopmanModel, save_matrix_csv
-from .plots import save_error_curves_svg
 
 
 def _add_common(parser):
@@ -36,7 +35,6 @@ def _add_experiment_flags(parser):
     parser.add_argument("--checkpoint-stride", type=int, default=None)
     parser.add_argument("--max-pairs", type=int, default=None)
     parser.add_argument("--no-raw", action="store_true", help="skip raw per-point error CSVs")
-    parser.add_argument("--plot", action="store_true", help="also emit SVG plots")
 
 
 def _load(args):
@@ -131,13 +129,6 @@ def _cmd_eval_onestep(args):
     config = _load(args)
     summary = run_onestep_experiment(config, out_dir=args.out, write_raw=not args.no_raw)
     _print_summary(summary, "onestep")
-    if args.plot:
-        save_error_curves_svg(
-            os.path.join(args.out, "onestep_summary.svg"),
-            summary,
-            f"{config.name}: one-step error vs training pairs",
-            "training pairs",
-        )
 
 
 def _cmd_eval_nstep(args):
@@ -148,43 +139,33 @@ def _cmd_eval_nstep(args):
         config = override_config(config, nstep_horizon=args.horizon)
     summary = run_nstep_experiment(config, out_dir=args.out, write_raw=not args.no_raw)
     _print_summary(summary, "nstep")
-    if args.plot:
-        save_error_curves_svg(
-            os.path.join(args.out, "nstep_summary.svg"),
-            summary,
-            f"{config.name}: forecast error vs horizon ({config.nstep_train_pairs} pairs)",
-            "forecast horizon n",
-        )
 
 
-def _cmd_spectrum(args):
-    config = _load(args)
-    result = run_spectrum_export(
-        config, pair_count=args.pairs, out_dir=args.out, threshold=args.threshold
-    )
+def _print_spectrum(result):
     for method in METHODS:
         print(
             f"spectrum: {method} mean count(|mu|>{result['threshold']}) = "
             f"{result['mean_counts'][method]:.6g} at {result['pairs']} pairs"
         )
+
+
+def _cmd_spectrum(args):
+    config = _load(args)
+    _print_spectrum(
+        run_spectrum_export(config, pair_count=args.pairs, out_dir=args.out, threshold=args.threshold)
+    )
 
 
 def _cmd_reproduce(args):
     args.config = args.preset
     config = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    derive_seed(config, os.path.join(args.out, "seed_matrix.csv"))
+    seed = derive_seed(config, os.path.join(args.out, "seed_matrix.csv"))
     print(f"reproduce {config.name}: seed matrix written")
-    onestep = run_onestep_experiment(config, out_dir=args.out, write_raw=not args.no_raw)
-    _print_summary(onestep, "onestep")
-    nstep = run_nstep_experiment(config, out_dir=args.out, write_raw=not args.no_raw)
-    _print_summary(nstep, "nstep")
-    result = run_spectrum_export(config, out_dir=args.out)
-    for method in METHODS:
-        print(
-            f"spectrum: {method} mean count(|mu|>{result['threshold']}) = "
-            f"{result['mean_counts'][method]:.6g} at {result['pairs']} pairs"
-        )
+    results = run_experiments(config, out_dir=args.out, write_raw=not args.no_raw, seed_model=seed)
+    _print_summary(results["onestep"], "onestep")
+    _print_summary(results["nstep"], "nstep")
+    _print_spectrum(results["spectrum"])
     print(f"reproduce {config.name}: outputs in {args.out}")
 
 
@@ -237,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("reproduce", help="full benchmark for a bundled preset")
-    p.add_argument("preset", choices=["duffing", "vdp"])
+    p.add_argument("preset", choices=bundled_preset_names())
     p.add_argument("--out", required=True)
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--sigma", type=float, default=None)
@@ -252,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    np.seterr(over="ignore", invalid="ignore")  # forecast blow-ups are data, not crashes
     args.func(args)
     return 0
 

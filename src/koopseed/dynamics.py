@@ -280,8 +280,7 @@ def load_trajectory_csv(path) -> Trajectory:
     """Read a trajectory CSV written by save_trajectory_csv."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2:
-        dt = 0.0 if data.shape[0] < 2 else float(data[1, 0] - data[0, 0])
-        return Trajectory(states=data[:, 1:], dt=dt if dt > 0 else 1.0)
+        raise ValueError(f"{path}: at least two rows are needed to infer dt")
     steps = np.diff(data[:, 0])
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-12, atol=1e-12):

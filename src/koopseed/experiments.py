@@ -465,121 +465,7 @@ def _write_notes(path, notes: list) -> None:
 # Experiment drivers
 # ---------------------------------------------------------------------------
 
-
-def run_onestep_experiment(
-    config: ExperimentConfig, out_dir=None, write_raw: bool = True
-) -> ErrorSummary:
-    """One-step-ahead error of both methods at every checkpoint.
-
-    Repeats the full experiment for each RNG seed, emits per-seed summaries
-    plus raw per-point errors, and returns the seed-averaged summary.
-    """
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    checkpoints = config.checkpoints()
-    dictionary = config.dictionary()
-    seed_model = derive_seed_model(config)
-
-    notes = []
-    per_seed = []
-    for s in range(config.seeds):
-        data = generate_data(config, s)
-        models = train_checkpoint_models(config, data, checkpoints, seed_model)
-        psi_test = dictionary.evaluate(data.test_states)
-
-        per_key = {}
-        raw = {m: [] for m in METHODS}
-        for cp in checkpoints:
-            per_key[cp] = {}
-            for method in METHODS:
-                mats, path = forecast_matrices(models[method][cp], [1])
-                if path != "spectral":
-                    notes.append(
-                        f"seed={s} checkpoint={cp} method={method} forecast-path={path}"
-                    )
-                err = onestep_errors(mats[1], psi_test, data.test_states)
-                per_key[cp][method] = err
-                raw[method].append(err)
-        summary = _summary_from_errors(per_key)
-        per_seed.append(summary)
-
-        if out_dir is not None:
-            summary.write_csv(os.path.join(out_dir, f"onestep_summary_seed{s}.csv"))
-            if write_raw:
-                n_traj, n_pts = raw[METHODS[0]][0].shape
-                traj_col = np.repeat(np.arange(n_traj), n_pts)
-                step_col = np.tile(np.arange(1, n_pts + 1), n_traj)
-                for method in METHODS:
-                    cks = np.concatenate(
-                        [np.full(n_traj * n_pts, cp) for cp in checkpoints]
-                    )
-                    errs = np.concatenate([e.ravel() for e in raw[method]])
-                    _write_raw(
-                        os.path.join(out_dir, f"onestep_raw_seed{s}_{method}.csv"),
-                        "checkpoint,traj,step,error",
-                        [cks, np.tile(traj_col, len(checkpoints)), np.tile(step_col, len(checkpoints)), errs],
-                    )
-
-    aggregate = _aggregate_summaries(per_seed)
-    if out_dir is not None:
-        aggregate.write_csv(os.path.join(out_dir, "onestep_summary.csv"))
-        _write_notes(os.path.join(out_dir, "onestep_notes.txt"), notes)
-    return aggregate
-
-
-def run_nstep_experiment(
-    config: ExperimentConfig, out_dir=None, write_raw: bool = True
-) -> ErrorSummary:
-    """n-step forecast error from each test initial state, n = 1..horizon,
-    with both methods trained on the configured pair count."""
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    pairs = config.nstep_train_pairs
-    horizon = config.nstep_horizon
-    dictionary = config.dictionary()
-    seed_model = derive_seed_model(config)
-
-    notes = []
-    per_seed = []
-    for s in range(config.seeds):
-        data = generate_data(config, s)
-        models = train_checkpoint_models(config, data, [pairs], seed_model)
-        psi0 = dictionary.evaluate(data.test_states[:, 0, :])
-
-        per_key = {}
-        errs_by_method = {}
-        for method in METHODS:
-            mats, path = forecast_matrices(
-                models[method][pairs], range(1, horizon + 1)
-            )
-            if path != "spectral":
-                notes.append(f"seed={s} pairs={pairs} method={method} forecast-path={path}")
-            errs_by_method[method] = nstep_errors(
-                mats, psi0, data.test_states, horizon
-            )
-        for n in range(1, horizon + 1):
-            per_key[n] = {m: errs_by_method[m][n - 1] for m in METHODS}
-        summary = _summary_from_errors(per_key)
-        per_seed.append(summary)
-
-        if out_dir is not None:
-            summary.write_csv(os.path.join(out_dir, f"nstep_summary_seed{s}.csv"))
-            if write_raw:
-                n_traj = config.test_count
-                n_col = np.repeat(np.arange(1, horizon + 1), n_traj)
-                traj_col = np.tile(np.arange(n_traj), horizon)
-                for method in METHODS:
-                    _write_raw(
-                        os.path.join(out_dir, f"nstep_raw_seed{s}_{method}.csv"),
-                        "n,traj,error",
-                        [n_col, traj_col, errs_by_method[method].ravel()],
-                    )
-
-    aggregate = _aggregate_summaries(per_seed)
-    if out_dir is not None:
-        aggregate.write_csv(os.path.join(out_dir, "nstep_summary.csv"))
-        _write_notes(os.path.join(out_dir, "nstep_notes.txt"), notes)
-    return aggregate
+STAGES = ("onestep", "nstep", "spectrum")
 
 
 def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
@@ -593,6 +479,159 @@ def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
             )
 
 
+def _score_onestep(config, dictionary, s, data, models, notes, out_dir, write_raw) -> ErrorSummary:
+    """One seed's one-step errors of both methods at every checkpoint."""
+    checkpoints = config.checkpoints()
+    psi_test = dictionary.evaluate(data.test_states)
+    per_key = {}
+    raw = {m: [] for m in METHODS}
+    for cp in checkpoints:
+        per_key[cp] = {}
+        for method in METHODS:
+            mats, path = forecast_matrices(models[method][cp], [1])
+            if path != "spectral":
+                notes.append(f"seed={s} checkpoint={cp} method={method} forecast-path={path}")
+            err = onestep_errors(mats[1], psi_test, data.test_states)
+            per_key[cp][method] = err
+            raw[method].append(err)
+    summary = _summary_from_errors(per_key)
+
+    if out_dir is not None:
+        summary.write_csv(os.path.join(out_dir, f"onestep_summary_seed{s}.csv"))
+        if write_raw:
+            n_traj, n_pts = raw[METHODS[0]][0].shape
+            traj_col = np.repeat(np.arange(n_traj), n_pts)
+            step_col = np.tile(np.arange(1, n_pts + 1), n_traj)
+            for method in METHODS:
+                cks = np.concatenate([np.full(n_traj * n_pts, cp) for cp in checkpoints])
+                errs = np.concatenate([e.ravel() for e in raw[method]])
+                _write_raw(
+                    os.path.join(out_dir, f"onestep_raw_seed{s}_{method}.csv"),
+                    "checkpoint,traj,step,error",
+                    [cks, np.tile(traj_col, len(checkpoints)), np.tile(step_col, len(checkpoints)), errs],
+                )
+    return summary
+
+
+def _score_nstep(config, dictionary, s, data, models, notes, out_dir, write_raw) -> ErrorSummary:
+    """One seed's n-step errors, n = 1..horizon, of both methods trained on
+    ``nstep_train_pairs`` pairs."""
+    pairs = config.nstep_train_pairs
+    horizon = config.nstep_horizon
+    psi0 = dictionary.evaluate(data.test_states[:, 0, :])
+    errs_by_method = {}
+    for method in METHODS:
+        mats, path = forecast_matrices(models[method][pairs], range(1, horizon + 1))
+        if path != "spectral":
+            notes.append(f"seed={s} pairs={pairs} method={method} forecast-path={path}")
+        errs_by_method[method] = nstep_errors(mats, psi0, data.test_states, horizon)
+    summary = _summary_from_errors(
+        {n: {m: errs_by_method[m][n - 1] for m in METHODS} for n in range(1, horizon + 1)}
+    )
+
+    if out_dir is not None:
+        summary.write_csv(os.path.join(out_dir, f"nstep_summary_seed{s}.csv"))
+        if write_raw:
+            n_traj = config.test_count
+            n_col = np.repeat(np.arange(1, horizon + 1), n_traj)
+            traj_col = np.tile(np.arange(n_traj), horizon)
+            for method in METHODS:
+                _write_raw(
+                    os.path.join(out_dir, f"nstep_raw_seed{s}_{method}.csv"),
+                    "n,traj,error",
+                    [n_col, traj_col, errs_by_method[method].ravel()],
+                )
+    return summary
+
+
+def run_experiments(
+    config: ExperimentConfig,
+    stages=STAGES,
+    out_dir=None,
+    write_raw: bool = True,
+    pair_count: int | None = None,
+    threshold: float = 0.99,
+    seed_model: GlobalSeed | None = None,
+) -> dict:
+    """Run the requested stages in one pass per RNG seed.
+
+    Each seed's data is simulated once and both methods are trained once, at
+    the union of the pair counts the stages need, and every stage scores
+    those models. Returns {stage: result}, each result as returned by
+    run_onestep_experiment, run_nstep_experiment or run_spectrum_export.
+    """
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+    if seed_model is None:
+        seed_model = derive_seed_model(config)
+    dictionary = config.dictionary()
+    spectrum_pairs = pair_count if pair_count is not None else config.spectrum_train_pairs
+    needed = {
+        "onestep": config.checkpoints(),
+        "nstep": [config.nstep_train_pairs],
+        "spectrum": [spectrum_pairs],
+    }
+    pairs = sorted(set().union(*(needed[stage] for stage in stages)))
+    scorers = {k: f for k, f in (("onestep", _score_onestep), ("nstep", _score_nstep)) if k in stages}
+    per_seed = {stage: [] for stage in scorers}
+    notes = {stage: [] for stage in scorers}
+    counts = {m: [] for m in METHODS}
+
+    for s in range(config.seeds):
+        data = generate_data(config, s)
+        models = train_checkpoint_models(config, data, pairs, seed_model)
+        with np.errstate(over="ignore", invalid="ignore"):  # forecast blow-ups are data
+            for stage, score in scorers.items():
+                per_seed[stage].append(
+                    score(config, dictionary, s, data, models, notes[stage], out_dir, write_raw)
+                )
+        if "spectrum" in stages:
+            for method in METHODS:
+                mu = spectrum_of(models[method][spectrum_pairs])
+                counts[method].append(int((np.abs(mu) > threshold).sum()))
+                if out_dir is not None:
+                    save_spectrum_csv(os.path.join(out_dir, f"spectrum_seed{s}_{method}.csv"), mu)
+
+    results = {stage: _aggregate_summaries(per_seed[stage]) for stage in scorers}
+    if out_dir is not None:
+        for stage, summary in results.items():
+            summary.write_csv(os.path.join(out_dir, f"{stage}_summary.csv"))
+            _write_notes(os.path.join(out_dir, f"{stage}_notes.txt"), notes[stage])
+    if "spectrum" in stages:
+        results["spectrum"] = {
+            "pairs": spectrum_pairs,
+            "threshold": threshold,
+            "counts": counts,
+            "mean_counts": {m: float(np.mean(counts[m])) for m in METHODS},
+        }
+        if out_dir is not None:
+            with open(os.path.join(out_dir, "spectrum_counts.csv"), "w", newline="\n") as fh:
+                fh.write("method,seed,count_above_threshold,threshold,pairs\n")
+                for method in METHODS:
+                    for s, c in enumerate(counts[method]):
+                        fh.write(f"{method},{s},{c},{format(threshold, '.17g')},{spectrum_pairs}\n")
+    return results
+
+
+def run_onestep_experiment(
+    config: ExperimentConfig, out_dir=None, write_raw: bool = True
+) -> ErrorSummary:
+    """One-step-ahead error of both methods at every checkpoint.
+
+    Repeats the full experiment for each RNG seed, emits per-seed summaries
+    plus raw per-point errors, and returns the seed-averaged summary.
+    """
+    return run_experiments(config, ("onestep",), out_dir, write_raw)["onestep"]
+
+
+def run_nstep_experiment(
+    config: ExperimentConfig, out_dir=None, write_raw: bool = True
+) -> ErrorSummary:
+    """n-step forecast error from each test initial state, n = 1..horizon,
+    with both methods trained on the configured pair count."""
+    return run_experiments(config, ("nstep",), out_dir, write_raw)["nstep"]
+
+
 def run_spectrum_export(
     config: ExperimentConfig,
     pair_count: int | None = None,
@@ -602,36 +641,9 @@ def run_spectrum_export(
     """Eigenvalue spectra of both methods at a fixed training size.
 
     Writes per-seed spectra CSVs plus a counts file of eigenvalues with
-    |mu| > threshold; returns {"threshold", "counts": {method: [per seed]},
-    "mean_counts": {method: float}}.
+    |mu| > threshold; returns {"pairs", "threshold", "counts": {method: [per
+    seed]}, "mean_counts": {method: float}}.
     """
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-    pairs = pair_count if pair_count is not None else config.spectrum_train_pairs
-    seed_model = derive_seed_model(config)
-
-    counts = {m: [] for m in METHODS}
-    for s in range(config.seeds):
-        data = generate_data(config, s)
-        models = train_checkpoint_models(config, data, [pairs], seed_model)
-        for method in METHODS:
-            mu = spectrum_of(models[method][pairs])
-            counts[method].append(int((np.abs(mu) > threshold).sum()))
-            if out_dir is not None:
-                save_spectrum_csv(
-                    os.path.join(out_dir, f"spectrum_seed{s}_{method}.csv"), mu
-                )
-
-    result = {
-        "pairs": pairs,
-        "threshold": threshold,
-        "counts": counts,
-        "mean_counts": {m: float(np.mean(counts[m])) for m in METHODS},
-    }
-    if out_dir is not None:
-        with open(os.path.join(out_dir, "spectrum_counts.csv"), "w", newline="\n") as fh:
-            fh.write("method,seed,count_above_threshold,threshold,pairs\n")
-            for method in METHODS:
-                for s, c in enumerate(counts[method]):
-                    fh.write(f"{method},{s},{c},{format(threshold, '.17g')},{pairs}\n")
-    return result
+    return run_experiments(
+        config, ("spectrum",), out_dir, pair_count=pair_count, threshold=threshold
+    )["spectrum"]

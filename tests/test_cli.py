@@ -65,6 +65,13 @@ def test_eval_onestep_cli(tiny_path, tmp_path, capsys):
     assert "onestep" in printed and "130" in printed
 
 
+def test_error_state_is_left_unchanged(tiny_path, tmp_path):
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        main(["eval-onestep", "--config", tiny_path, "--out", str(tmp_path), "--seeds", "1", "--no-raw"])
+        assert np.geterr() == before
+
+
 def test_eval_onestep_no_raw(tiny_path, tmp_path):
     out = tmp_path / "out"
     main(["eval-onestep", "--config", tiny_path, "--out", str(out), "--seeds", "1", "--no-raw"])

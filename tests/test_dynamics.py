@@ -236,6 +236,14 @@ class TestTrajectoryCSV:
         with pytest.raises(ValueError):
             load_trajectory_csv(path)
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")  # loadtxt: input contained no data
+    @pytest.mark.parametrize("body", ["", "0,1\n"], ids=["header-only", "one-row"])
+    def test_short_file_rejected(self, tmp_path, body):
+        path = tmp_path / "short.csv"
+        path.write_text("t,x_1_1\n" + body)
+        with pytest.raises(ValueError, match="at least two rows"):
+            load_trajectory_csv(path)
+
     def test_trajectory_validates(self):
         with pytest.raises(ValueError):
             Trajectory(states=np.array([[np.inf, 0.0]]), dt=0.1)

@@ -14,6 +14,7 @@ from koopseed.experiments import (
     generate_data,
     load_config,
     override_config,
+    run_experiments,
     run_nstep_experiment,
     run_onestep_experiment,
     run_spectrum_export,
@@ -304,6 +305,29 @@ class TestExperimentDrivers:
         assert files_a == sorted(p.name for p in out_b.iterdir())
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_shared_pass_matches_separate_stages(self, tiny_config, tmp_path):
+        shared, separate = tmp_path / "shared", tmp_path / "separate"
+        results = run_experiments(tiny_config, out_dir=shared)
+        onestep = run_onestep_experiment(tiny_config, out_dir=separate)
+        nstep = run_nstep_experiment(tiny_config, out_dir=separate)
+        spectrum = run_spectrum_export(tiny_config, out_dir=separate)
+        assert results == {"onestep": onestep, "nstep": nstep, "spectrum": spectrum}
+        names = sorted(p.name for p in shared.iterdir())
+        assert names == sorted(p.name for p in separate.iterdir())
+        assert "onestep_raw_seed1_edmd.csv" in names and "nstep_raw_seed1_edmd.csv" in names
+        for name in names:
+            assert (shared / name).read_bytes() == (separate / name).read_bytes(), name
+
+    def test_checkpoint_union_trains_like_single_count(self, tiny_config):
+        data = generate_data(tiny_config, 0)
+        pairs = tiny_config.nstep_train_pairs
+        union = sorted(set(tiny_config.checkpoints()) | {pairs})
+        assert union == [130, 200, 260]
+        together = train_checkpoint_models(tiny_config, data, union)
+        alone = train_checkpoint_models(tiny_config, data, [pairs])
+        for method in METHODS:
+            assert np.array_equal(together[method][pairs].matrix, alone[method][pairs].matrix)
 
     def test_methods_share_test_data(self, tiny_config):
         # identical counts per method at each checkpoint: same trajectories,
