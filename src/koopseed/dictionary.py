@@ -12,6 +12,102 @@ from math import comb
 
 import numpy as np
 
+# States per pass of MonomialTable. It bounds the scratch block and the
+# temporaries independently of the batch size; larger passes were no faster
+# on the preset test tensors and raised peak memory on small batches.
+_CHUNK_ROWS = 512
+
+
+class MonomialTable:
+    """Evaluates a fixed list of monomials, built once per exponent list.
+
+    Every monomial with two or more nonzero exponents is its *prefix* (the
+    same tuple with its last nonzero exponent set to 0) times one factor
+    ``x_v**e``; prefixes missing from the list are kept as hidden rows. The
+    factors with e >= 2 are formed in one ``power`` call, and the products
+    are filled level by level (by nonzero-variable count) with one
+    gather-multiply per level, in a variables-first scratch block.
+
+    Each value is the left-to-right product of ``x_d**e_d`` over d that
+    ``prod_d x[..., d, None] ** exponents[:, d]`` forms, and so is
+    bit-identical to it for two or more monomials: multiplying by a factor
+    with e = 0, which is 1, is exact, and a factor with e = 1 is x itself,
+    which pow returns exactly. (For a single monomial that loop broadcasts
+    its exponent, and numpy's power then squares instead of calling pow.)
+    """
+
+    def __init__(self, exponents):
+        exponents = np.asarray(exponents, dtype=np.int64)
+        self.var_count = exponents.shape[1]
+        monomials = [tuple(int(e) for e in m) for m in exponents]
+
+        # monomial with >= 2 nonzero exponents -> (level, prefix, last factor)
+        products = {}
+        powers = set()  # factors (v, e) with e >= 2
+        pending = list(monomials)
+        while pending:
+            m = pending.pop()
+            nonzero = [v for v, e in enumerate(m) if e]
+            last = nonzero[-1] if nonzero else 0
+            if m[last] >= 2:
+                powers.add((last, m[last]))
+            if len(nonzero) >= 2 and m not in products:
+                prefix = m[:last] + (0,) + m[last + 1 :]
+                products[m] = (len(nonzero), prefix, (last, m[last]))
+                pending.append(prefix)
+
+        # Scratch rows: ones, x_v, the powers, then the products by level.
+        powers = sorted(powers)
+        # At least two powers, for the same reason: a broadcast exponent 2
+        # is squared, which can differ from pow in the last bit.
+        if len(powers) == 1:
+            powers *= 2
+        power_row = {f: 1 + self.var_count + i for i, f in enumerate(powers)}
+        order = sorted(products, key=lambda m: products[m][0])
+        position = {m: 1 + self.var_count + len(powers) + i for i, m in enumerate(order)}
+
+        def factor_row(v, e):
+            return 0 if e == 0 else 1 + v if e == 1 else power_row[(v, e)]
+
+        def row_of(m):
+            if m in position:
+                return position[m]
+            v = next((v for v, e in enumerate(m) if e), 0)
+            return factor_row(v, m[v])
+
+        self._levels = []
+        for level in sorted({products[m][0] for m in order}):
+            block = [m for m in order if products[m][0] == level]
+            lo = position[block[0]]
+            prefixes = np.array([row_of(products[m][1]) for m in block])
+            factors = np.array([factor_row(*products[m][2]) for m in block])
+            self._levels.append((lo, lo + len(block), prefixes, factors))
+        self._bases = np.array([v for v, _ in powers], dtype=np.intp)
+        self._powers = np.array([e for _, e in powers], dtype=float)
+        self._table_rows = 1 + self.var_count + len(powers) + len(order)
+        self._visible = np.array([row_of(m) for m in monomials], dtype=np.intp)
+
+    def __call__(self, x) -> np.ndarray:
+        """Monomial values at states x of shape (..., var_count): (..., count)."""
+        lead = x.shape[:-1]
+        flat = x.reshape(-1, self.var_count)
+        count = len(self._visible)
+        out = np.empty((flat.shape[0], count))
+        scratch = np.empty((self._table_rows, min(flat.shape[0], _CHUNK_ROWS)))
+        scratch[0] = 1.0
+        first_power = 1 + self.var_count
+        for start in range(0, flat.shape[0], _CHUNK_ROWS):
+            chunk = flat[start : start + _CHUNK_ROWS]
+            table = scratch[:, : chunk.shape[0]]
+            table[1:first_power] = chunk.T
+            if len(self._powers):
+                powers = chunk[:, self._bases] ** self._powers
+                table[first_power : first_power + len(self._powers)] = powers.T
+            for lo, hi, prefixes, factors in self._levels:
+                np.multiply(table[prefixes], table[factors], out=table[lo:hi])
+            out[start : start + chunk.shape[0]] = table[self._visible].T
+        return out.reshape(lead + (count,))
+
 
 def _graded_lex_entries(var_count, max_degree):
     # Degree ascending; within a degree, descending lexicographic on the
@@ -48,6 +144,7 @@ class Dictionary:
         self.entries = _graded_lex_entries(self.var_count, self.max_degree)
         self._index = {m: i for i, m in enumerate(self.entries)}
         self._exponents = np.array(self.entries, dtype=np.int64)
+        self._monomials = MonomialTable(self._exponents)
         assert len(self.entries) == comb(var_count + max_degree, max_degree)
 
     def __len__(self):
@@ -102,10 +199,7 @@ class Dictionary:
             )
         if not np.isfinite(x).all():
             raise ValueError("non-finite state passed to Dictionary.evaluate")
-        out = np.ones(x.shape[:-1] + (len(self),))
-        for d in range(self.var_count):
-            out *= x[..., d, None] ** self._exponents[:, d]
-        return out
+        return self._monomials(x)
 
 
 def build_dictionary(var_count: int, max_degree: int) -> Dictionary:

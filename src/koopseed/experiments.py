@@ -349,9 +349,9 @@ def forecast_matrices(model: KoopmanModel, horizons) -> tuple:
 def onestep_errors(forecast: np.ndarray, psi_test: np.ndarray, test_states: np.ndarray) -> np.ndarray:
     """Per-point one-step relative errors, shape (test_count, length-1)."""
     count, length, n_dic = psi_test.shape
-    pred = (psi_test[:, :-1, :].reshape(-1, n_dic) @ forecast.T).reshape(
-        count, length - 1, -1
-    )
+    # Multiply all states and drop the last of each trajectory from the small
+    # product: slicing psi_test first would copy the whole tensor every call.
+    pred = (psi_test.reshape(-1, n_dic) @ forecast.T).reshape(count, length, -1)[:, :-1]
     true = test_states[:, 1:, :]
     return np.linalg.norm(pred - true, axis=-1) / np.linalg.norm(true, axis=-1)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .dictionary import Dictionary
+from .dictionary import Dictionary, MonomialTable
 from .model import KoopmanModel
 
 
@@ -51,10 +51,8 @@ class PolynomialVectorField:
 
         # flat term table for fast evaluation: f(x) = coef_matrix @ monomials(x)
         flat = [m for terms in self.components for (m, _) in terms]
-        self._exponents = (
-            np.array(flat, dtype=np.int64)
-            if flat
-            else np.zeros((0, self.var_count), dtype=np.int64)
+        self._monomials = MonomialTable(
+            np.array(flat, dtype=np.int64).reshape(len(flat), self.var_count)
         )
         self._coef = np.zeros((len(self.components), len(flat)))
         t = 0
@@ -77,10 +75,7 @@ class PolynomialVectorField:
             raise ValueError(
                 f"state has {x.shape[-1]} variables, field expects {self.var_count}"
             )
-        mono = np.ones(x.shape[:-1] + (self._exponents.shape[0],))
-        for d in range(self.var_count):
-            mono *= x[..., d, None] ** self._exponents[:, d]
-        return mono @ self._coef.T
+        return self._monomials(x) @ self._coef.T
 
     def __call__(self, x):
         return self.evaluate(x)

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from monomial_cases import assert_same_bits, exponent_lists, power_loop, state_batches
 
 from koopseed.dictionary import (
     Dictionary,
+    MonomialTable,
     VariableLayout,
     build_dictionary,
     embed_indices,
@@ -93,6 +97,10 @@ def test_evaluate_rejects_bad_input():
         d.evaluate([np.nan, 0.0])
     with pytest.raises(ValueError):
         d.evaluate([np.inf, 0.0])
+    batch = np.zeros((2, 4, 2))
+    batch[1, 2, 0] = -np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        d.evaluate(batch)
 
 
 def test_evaluate_is_multiplicative():
@@ -108,6 +116,20 @@ def test_evaluate_is_multiplicative():
                 if s in d:
                     prod = vals[d.index_of(m)] * vals[d.index_of(n)]
                     assert vals[d.index_of(s)] == pytest.approx(prod, rel=1e-12, abs=1e-12)
+
+
+@given(st.data())
+def test_monomial_table_matches_power_loop_bit_for_bit(data):
+    exponents = data.draw(exponent_lists())
+    x = data.draw(state_batches(exponents.shape[1]))
+    assert_same_bits(MonomialTable(exponents)(x), power_loop(x, exponents))
+
+
+@given(st.data(), st.integers(1, 4), st.integers(1, 3))
+def test_evaluate_matches_power_loop_bit_for_bit(data, var_count, max_degree):
+    d = build_dictionary(var_count, max_degree)
+    x = data.draw(state_batches(var_count))
+    assert_same_bits(d.evaluate(x), power_loop(x, d.exponents))
 
 
 def test_layout_offsets():

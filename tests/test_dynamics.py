@@ -106,6 +106,19 @@ class TestSimulate:
             simulate(sys_, [5.0], 1000, 0.5)
         assert info.value.step is not None
 
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_overflowing_field_blows_up_at_its_step(self, batch):
+        system = coupled_duffing(**DUFFING_PARAMS)
+        x0 = np.array([1e120, 0.0, 0.5, 0.0, 0.5, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            BlowUpError, match="at step 1$"
+        ) as info:
+            if batch:
+                simulate_batch(system, x0[None], 10, 0.01)
+            else:
+                simulate(system, x0, 10, 0.01)
+        assert info.value.step == 1
+
     def test_determinism_bit_identical(self):
         system = coupled_duffing(**DUFFING_PARAMS)
         x0 = sample_initial([(-1.5, 1.5)] * 6, 13)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from monomial_cases import assert_same_bits, power_loop, state_batches
 from scipy.linalg import expm
 
 from koopseed.dictionary import build_dictionary
@@ -50,6 +53,19 @@ def duffing_recurrence_matrix(dictionary, delta, alpha, beta):
     return R
 
 
+@st.composite
+def polynomial_fields(draw):
+    """Fields over 1 to 4 variables with 1 to 3 output coordinates, terms of
+    top exponent 1, 2 or 3 and nonzero coefficients of either sign."""
+    var_count = draw(st.integers(1, 4))
+    top = draw(st.sampled_from([1, 2, 3]))
+    exponents = st.tuples(*[st.integers(0, top)] * var_count)
+    coefficients = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda c: c != 0.0)
+    terms = st.lists(st.tuples(exponents, coefficients), max_size=5)
+    components = draw(st.lists(terms, min_size=1, max_size=3))
+    return PolynomialVectorField(var_count, components)
+
+
 class TestPolynomialVectorField:
     def test_merges_duplicate_terms(self):
         f = PolynomialVectorField(1, [[((1,), 2.0), ((1,), 3.0)]])
@@ -84,6 +100,29 @@ class TestPolynomialVectorField:
     def test_zero_field(self):
         f = PolynomialVectorField(2, [[], []])
         assert np.array_equal(f.evaluate([1.0, 2.0]), np.zeros(2))
+
+    @given(st.data())
+    def test_evaluate_matches_power_loop_bit_for_bit(self, data):
+        f = data.draw(polynomial_fields())
+        flat = [m for terms in f.components for (m, _) in terms]
+        assume(len(flat) >= 2)
+        coef = np.zeros((f.component_count, len(flat)))
+        t = 0
+        for coord, terms in enumerate(f.components):
+            for _, c in terms:
+                coef[coord, t] = c
+                t += 1
+        x = data.draw(state_batches(f.var_count))
+        expect = power_loop(x, np.array(flat, dtype=np.int64)) @ coef.T
+        assert_same_bits(f.evaluate(x), expect)
+
+    def test_overflow_gives_non_finite_values(self):
+        f = duffing_rhs(0.2, -1.0, 0.5)
+        x = np.array([[1e120, 0.0], [0.5, -0.5]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = f.evaluate(x)
+        assert not np.isfinite(out[0]).all()
+        assert np.isfinite(out[1]).all()
 
 
 class TestBuildGenerator:
