@@ -8,7 +8,7 @@ dynamics module simulates the coupled benchmark systems, and the CLI runs
 the bundled experiments end to end.
 """
 
-from .assembly import GlobalSeed, assemble_global
+from .assembly import assemble_global
 from .dictionary import Dictionary, VariableLayout, build_dictionary, embed_indices
 from .dynamics import (
     BlowUpError,
@@ -53,9 +53,7 @@ from .spectral import (
     DefectiveDecompositionError,
     SpectralDecomposition,
     decompose,
-    matrix_power_predict,
-    predict_n,
-    predict_one,
+    forecast_matrices,
     relative_l2,
 )
 
@@ -69,7 +67,6 @@ __all__ = [
     "Dictionary",
     "ExperimentConfig",
     "GeneratorMatrix",
-    "GlobalSeed",
     "KoopmanModel",
     "OnlineState",
     "PolynomialVectorField",
@@ -88,16 +85,14 @@ __all__ = [
     "derive_seed_model",
     "diffusive_coupling",
     "embed_indices",
+    "forecast_matrices",
     "load_config",
     "load_matrix_csv",
     "local_koopman",
-    "matrix_power_predict",
     "online_init",
     "online_update",
     "pairs_from_states",
     "perturb_initial",
-    "predict_n",
-    "predict_one",
     "relative_l2",
     "rk4_step",
     "run_experiments",

@@ -12,15 +12,11 @@ from .dictionary import Dictionary, VariableLayout, embed_indices
 from .model import KoopmanModel
 
 
-class GlobalSeed(KoopmanModel):
-    """Full-system Koopman matrix seeded purely from subsystem dynamics."""
-
-
 def assemble_global(
     local_models: list,
     layout: VariableLayout,
     global_dict: Dictionary,
-) -> GlobalSeed:
+) -> KoopmanModel:
     """Embed local Koopman matrices into the global dictionary.
 
     The (constant, constant) entry is claimed by every subsystem; it is
@@ -54,4 +50,4 @@ def assemble_global(
         mapping = embed_indices(model.dictionary, layout, i, global_dict)
         matrix[np.ix_(mapping, mapping)] = model.matrix
     matrix[0, 0] = 1.0
-    return GlobalSeed(global_dict, matrix)
+    return KoopmanModel(global_dict, matrix)

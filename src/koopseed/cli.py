@@ -4,14 +4,13 @@ import argparse
 import os
 import sys
 
-from .dynamics import Trajectory, load_trajectory_csv, save_trajectory_csv, sample_initial, simulate
+from .dynamics import Trajectory, load_trajectory_csv, save_trajectory_csv
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .experiments import (
     METHODS,
     bundled_preset_names,
     derive_seed,
     derive_seed_model,
-    derived_seed,
     generate_data,
     load_config,
     override_config,
@@ -19,6 +18,7 @@ from .experiments import (
     run_nstep_experiment,
     run_onestep_experiment,
     run_spectrum_export,
+    simulate_training,
 )
 from .model import KoopmanModel, save_matrix_csv
 
@@ -61,19 +61,19 @@ def _cmd_simulate(args):
     config = _load(args)
     os.makedirs(args.out, exist_ok=True)
     s = args.seed_index
-    x0 = sample_initial(config.init_ranges, derived_seed(config.root_seed, "train-init", s))
-    traj = simulate(config.system, x0, config.train_steps, config.dt)
-    states = traj.states[config.train_burn_in :]
+    if args.tests:
+        # generate_data integrates the training trajectory along with the tests
+        data = generate_data(config, s)
+        states = data.train_states
+    else:
+        states = simulate_training(config, s)[1]
     path = os.path.join(args.out, f"train_seed{s}.csv")
-    save_trajectory_csv(path, Trajectory(states, config.dt, seed=s), config.system.layout)
+    save_trajectory_csv(path, Trajectory(states, config.dt), config.system.layout)
     print(f"wrote {path} ({states.shape[0]} states)")
     if args.tests:
-        data = generate_data(config, s)
         for t in range(min(args.tests, config.test_count)):
             tp = os.path.join(args.out, f"test_seed{s}_{t:03d}.csv")
-            save_trajectory_csv(
-                tp, Trajectory(data.test_states[t], config.dt, seed=s), config.system.layout
-            )
+            save_trajectory_csv(tp, Trajectory(data.test_states[t], config.dt), config.system.layout)
         print(f"wrote {min(args.tests, config.test_count)} test trajectories")
 
 

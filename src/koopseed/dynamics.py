@@ -115,11 +115,10 @@ class CoupledSystem:
 
 @dataclass
 class Trajectory:
-    """Uniformly sampled states; ``seed`` records the RNG stream that produced x0."""
+    """Uniformly sampled states of one trajectory."""
 
     states: np.ndarray
     dt: float
-    seed: int = 0
 
     def __post_init__(self):
         self.states = np.asarray(self.states, dtype=float)
@@ -146,38 +145,37 @@ def rk4_step(fld, x, dt: float) -> np.ndarray:
     return out
 
 
-def simulate(system: CoupledSystem, x0, steps: int, dt: float, seed: int = 0) -> Trajectory:
-    """Integrate the full coupled field from x0 for ``steps`` RK4 steps."""
+def _integrate(system: CoupledSystem, x0s: np.ndarray, steps: int, dt: float) -> np.ndarray:
+    # RK4 from (n, D) initial states; returns (n, steps+1, D) trajectories.
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
     fld = system.full_field()
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (system.dim,):
-        raise ValueError(f"x0 must have shape ({system.dim},)")
-    states = np.empty((steps + 1, system.dim))
-    states[0] = x0
-    for k in range(steps):
-        try:
-            states[k + 1] = rk4_step(fld, states[k], dt)
-        except BlowUpError as exc:
-            raise BlowUpError(f"trajectory blew up at step {k + 1}", step=k + 1) from exc
-    return Trajectory(states=states, dt=dt, seed=seed)
-
-
-def simulate_batch(system: CoupledSystem, x0s, steps: int, dt: float) -> np.ndarray:
-    """Integrate many initial states at once; returns (n, steps+1, D)."""
-    fld = system.full_field()
-    x0s = np.asarray(x0s, dtype=float)
     out = np.empty((x0s.shape[0], steps + 1, system.dim))
     out[:, 0] = x0s
     for k in range(steps):
         try:
             out[:, k + 1] = rk4_step(fld, out[:, k], dt)
         except BlowUpError as exc:
-            raise BlowUpError(f"batch trajectory blew up at step {k + 1}", step=k + 1) from exc
+            raise BlowUpError(f"trajectory blew up at step {k + 1}", step=k + 1) from exc
     return out
+
+
+def simulate(system: CoupledSystem, x0, steps: int, dt: float) -> Trajectory:
+    """Integrate the full coupled field from x0 for ``steps`` RK4 steps."""
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (system.dim,):
+        raise ValueError(f"x0 must have shape ({system.dim},)")
+    return Trajectory(_integrate(system, x0[None], steps, dt)[0], dt)
+
+
+def simulate_batch(system: CoupledSystem, x0s, steps: int, dt: float) -> np.ndarray:
+    """Integrate many initial states at once; returns (n, steps+1, D)."""
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != system.dim:
+        raise ValueError(f"x0s must have shape (n, {system.dim})")
+    return _integrate(system, x0s, steps, dt)
 
 
 def sample_initial(ranges, rng_seed: int) -> np.ndarray:

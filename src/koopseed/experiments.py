@@ -14,7 +14,7 @@ from importlib import resources
 
 import numpy as np
 
-from .assembly import GlobalSeed, assemble_global
+from .assembly import assemble_global
 from .dictionary import Dictionary, build_dictionary
 from .dynamics import (
     CoupledSystem,
@@ -29,13 +29,7 @@ from .dynamics import (
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .generator import PolynomialVectorField, build_generator, local_koopman
 from .model import KoopmanModel, save_matrix_csv
-from .spectral import (
-    DefectiveDecompositionError,
-    decompose,
-    prediction_matrix,
-    relative_l2_batch,
-    state_projector,
-)
+from .spectral import eigen_order, forecast_matrices, relative_l2
 
 METHOD_PROPOSED = "proposed"
 METHOD_EDMD = "edmd"
@@ -220,7 +214,7 @@ def override_config(config: ExperimentConfig, **changes) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def derive_seed_model(config: ExperimentConfig) -> GlobalSeed:
+def derive_seed_model(config: ExperimentConfig) -> KoopmanModel:
     """ODE-derived global Koopman matrix: per-subsystem generators advanced
     over one sampling interval and embedded into the global dictionary."""
     global_dict = config.dictionary()
@@ -232,7 +226,7 @@ def derive_seed_model(config: ExperimentConfig) -> GlobalSeed:
     return assemble_global(locals_, config.system.layout, global_dict)
 
 
-def derive_seed(config: ExperimentConfig, out_path) -> GlobalSeed:
+def derive_seed(config: ExperimentConfig, out_path) -> KoopmanModel:
     """Derive the seed matrix and write it as a portable matrix CSV."""
     seed = derive_seed_model(config)
     save_matrix_csv(
@@ -252,6 +246,16 @@ class ExperimentData:
     train_x0: np.ndarray
 
 
+def simulate_training(config: ExperimentConfig, seed_index: int) -> tuple:
+    """The sampled training initial state and the training states after
+    burn-in, as (x0, states)."""
+    x0 = sample_initial(
+        config.init_ranges, derived_seed(config.root_seed, "train-init", seed_index)
+    )
+    train = simulate(config.system, x0, config.train_steps, config.dt)
+    return x0, train.states[config.train_burn_in :]
+
+
 def generate_data(config: ExperimentConfig, seed_index: int) -> ExperimentData:
     """Simulate the training trajectory and the perturbed test set.
 
@@ -259,11 +263,7 @@ def generate_data(config: ExperimentConfig, seed_index: int) -> ExperimentData:
     initial state; each test trajectory then runs the full test length and
     discards its own burn-in, mirroring the training protocol.
     """
-    x0 = sample_initial(
-        config.init_ranges, derived_seed(config.root_seed, "train-init", seed_index)
-    )
-    train = simulate(config.system, x0, config.train_steps, config.dt)
-    train_states = train.states[config.train_burn_in :]
+    x0, train_states = simulate_training(config, seed_index)
 
     x0s = np.stack(
         [
@@ -287,7 +287,7 @@ def train_checkpoint_models(
     config: ExperimentConfig,
     data: ExperimentData,
     checkpoints,
-    seed_model: GlobalSeed | None = None,
+    seed_model: KoopmanModel | None = None,
 ) -> dict:
     """Train both methods at every checkpoint pair count.
 
@@ -323,37 +323,13 @@ def train_checkpoint_models(
 # ---------------------------------------------------------------------------
 
 
-def forecast_matrices(model: KoopmanModel, horizons) -> tuple:
-    """D x N forecast matrices per horizon, via the spectral path when the
-    eigenbasis is sound, otherwise via explicit matrix powers.
-
-    Returns (matrices dict, path) with path in {"spectral", "matrix-power"}.
-    """
-    horizons = sorted(set(int(n) for n in horizons))
-    try:
-        dec = decompose(model)
-        return {n: prediction_matrix(dec, n) for n in horizons}, "spectral"
-    except (DefectiveDecompositionError, ValueError):
-        B = state_projector(model.dictionary)
-        out = {}
-        Kn = np.eye(len(model.dictionary))
-        step = 0
-        for n in horizons:
-            while step < n:
-                Kn = model.matrix @ Kn
-                step += 1
-            out[n] = B @ Kn
-        return out, "matrix-power"
-
-
 def onestep_errors(forecast: np.ndarray, psi_test: np.ndarray, test_states: np.ndarray) -> np.ndarray:
     """Per-point one-step relative errors, shape (test_count, length-1)."""
     count, length, n_dic = psi_test.shape
     # Multiply all states and drop the last of each trajectory from the small
     # product: slicing psi_test first would copy the whole tensor every call.
     pred = (psi_test.reshape(-1, n_dic) @ forecast.T).reshape(count, length, -1)[:, :-1]
-    true = test_states[:, 1:, :]
-    return np.linalg.norm(pred - true, axis=-1) / np.linalg.norm(true, axis=-1)
+    return relative_l2(test_states[:, 1:, :], pred)
 
 
 def nstep_errors(forecasts: dict, psi0: np.ndarray, test_states: np.ndarray, horizon: int) -> np.ndarray:
@@ -362,14 +338,14 @@ def nstep_errors(forecasts: dict, psi0: np.ndarray, test_states: np.ndarray, hor
     out = np.empty((horizon, psi0.shape[0]))
     for n in range(1, horizon + 1):
         pred = psi0 @ forecasts[n].T
-        out[n - 1] = relative_l2_batch(test_states[:, n, :], pred)
+        out[n - 1] = relative_l2(test_states[:, n, :], pred)
     return out
 
 
 def spectrum_of(model: KoopmanModel) -> np.ndarray:
     """Eigenvalues ordered by descending |mu|, then real, then imaginary part."""
     mu = np.linalg.eigvals(model.matrix)
-    return mu[np.lexsort((-mu.imag, -mu.real, -np.abs(mu)))]
+    return mu[eigen_order(mu)]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +527,7 @@ def run_experiments(
     write_raw: bool = True,
     pair_count: int | None = None,
     threshold: float = 0.99,
-    seed_model: GlobalSeed | None = None,
+    seed_model: KoopmanModel | None = None,
 ) -> dict:
     """Run the requested stages in one pass per RNG seed.
 

@@ -134,45 +134,20 @@ def build_generator(field: PolynomialVectorField, dictionary: Dictionary) -> Gen
     return GeneratorMatrix(dictionary, G)
 
 
-def _rk4_matrix_flow(G: np.ndarray, dt: float, substeps: int) -> np.ndarray:
-    # Integrate C' = G C, C(0) = I with classical RK4; cross-check route for
-    # the matrix exponential.
-    C = np.eye(G.shape[0])
-    h = dt / substeps
-    for _ in range(substeps):
-        k1 = G @ C
-        k2 = G @ (C + 0.5 * h * k1)
-        k3 = G @ (C + 0.5 * h * k2)
-        k4 = G @ (C + h * k3)
-        C = C + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return C
-
-
-def local_koopman(
-    gen: GeneratorMatrix,
-    dt: float,
-    method: str = "expm",
-    rk4_substeps: int = 200,
-) -> KoopmanModel:
+def local_koopman(gen: GeneratorMatrix, dt: float) -> KoopmanModel:
     """Advance the generator over one sampling interval and orient the result
     so that Psi(x_next) ~= K Psi(x).
 
     Column m of exp(G dt) is the coefficient vector of the time-evolved
-    monomial m, which forms row m of K; hence K = exp(G dt)^T. ``method`` is
-    "expm" (scaling-and-squaring, default) or "rk4" (fixed-step integration
-    of the matrix flow, >= 100 substeps; serves as an independent check).
+    monomial m, which forms row m of K; hence K = exp(G dt)^T, computed by
+    scaling and squaring.
     """
     if not np.isfinite(dt):
         raise ValueError("dt must be finite")
     if dt < 0:
         raise ValueError("dt must be non-negative")
 
-    if method == "expm":
-        flow = expm(gen.matrix * dt)
-    elif method == "rk4":
-        flow = _rk4_matrix_flow(gen.matrix, dt, max(int(rk4_substeps), 100))
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    flow = expm(gen.matrix * dt)
 
     # The constant's column of G is structurally zero, so the evolved constant
     # is exactly the constant: scrub roundoff. When the field has no constant

@@ -1,9 +1,10 @@
-"""Eigen-decomposition of Koopman matrices and spectral state prediction.
+"""Eigen-decomposition of Koopman matrices and state forecasting.
 
-Predictions use eigenvalue/eigenfunction/mode triples: the eigenfunction is
+Forecasts use eigenvalue/eigenfunction/mode triples: the eigenfunction is
 a left-eigenvector contraction with the dictionary, the mode projects the
 right eigenvector onto the state coordinates, and an n-step forecast raises
-the eigenvalues to the n-th power instead of iterating the matrix.
+the eigenvalues to the n-th power instead of iterating the matrix. When the
+eigenbasis is unsound, forecast_matrices falls back to matrix powers.
 """
 
 from dataclasses import dataclass
@@ -12,6 +13,11 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .model import KoopmanModel
+
+
+# Largest accepted eigenbasis inversion error and relative imaginary residue
+# of a spectral forecast.
+SPECTRAL_TOL = 1e-6
 
 
 class DefectiveDecompositionError(RuntimeError):
@@ -32,10 +38,10 @@ class SpectralDecomposition:
 
     ``left_vectors`` columns w_l satisfy w_l^T u_k = delta_lk against the
     ``right_vectors`` columns u_k (plain transpose, no conjugation), so
-    eigenfunction values are left_vectors.T @ Psi(x) and modes are
-    projector @ right_vectors. When the eigenbasis is too ill-conditioned to
-    invert accurately the decomposition is flagged ``defective`` and callers
-    should fall back to matrix_power_predict.
+    eigenfunction values are left_vectors.T @ Psi(x) and modes are the state
+    rows of right_vectors. When the eigenbasis is too ill-conditioned to
+    invert accurately the decomposition is flagged ``defective``, and
+    forecast_matrices falls back to matrix powers.
     """
 
     dictionary: Dictionary
@@ -43,7 +49,6 @@ class SpectralDecomposition:
     right_vectors: np.ndarray
     left_vectors: np.ndarray
     modes: np.ndarray
-    projector: np.ndarray
     defective: bool
     residual: float
 
@@ -53,19 +58,24 @@ class SpectralDecomposition:
         return psi @ self.left_vectors
 
 
-def decompose(model: KoopmanModel, defect_tol: float = 1e-6) -> SpectralDecomposition:
-    """Eigen-decompose K into triples, ordered by descending |mu|.
+def eigen_order(mu: np.ndarray) -> np.ndarray:
+    """Permutation ordering eigenvalues by descending |mu|, then descending
+    real part, then descending imaginary part, so output files are
+    reproducible."""
+    return np.lexsort((-mu.imag, -mu.real, -np.abs(mu)))
 
-    Ties break by descending real part, then descending imaginary part, so
-    output files are reproducible. Right vectors are unit-norm; left vectors
-    are the rows of the right-eigenbasis inverse, which enforces
-    biorthonormality directly.
+
+def decompose(model: KoopmanModel) -> SpectralDecomposition:
+    """Eigen-decompose K into triples, ordered by eigen_order.
+
+    Right vectors are unit-norm; left vectors are the rows of the
+    right-eigenbasis inverse, which enforces biorthonormality directly.
     """
     K = np.asarray(model.matrix)
     if not np.isfinite(K).all():
         raise ValueError("Koopman matrix has non-finite entries")
     mu, U = np.linalg.eig(K)
-    order = np.lexsort((-mu.imag, -mu.real, -np.abs(mu)))
+    order = eigen_order(mu)
     mu = mu[order]
     U = U[:, order]
     U = U / np.linalg.norm(U, axis=0)
@@ -80,100 +90,71 @@ def decompose(model: KoopmanModel, defect_tol: float = 1e-6) -> SpectralDecompos
         # left vectors are only accurate to eps * cond(U); an ill-conditioned
         # eigenbasis can still produce a deceptively small residual
         basis_error = np.linalg.cond(U) * np.finfo(float).eps
-        if not np.isfinite(residual) or residual > defect_tol or basis_error > defect_tol:
+        if not np.isfinite(residual) or residual > SPECTRAL_TOL or basis_error > SPECTRAL_TOL:
             defective = True
     except np.linalg.LinAlgError:
         defective = True
 
-    B = state_projector(model.dictionary)
     return SpectralDecomposition(
         dictionary=model.dictionary,
         eigenvalues=mu,
         right_vectors=U,
         left_vectors=W,
-        modes=B @ U,
-        projector=B,
+        modes=state_projector(model.dictionary) @ U,
         defective=defective,
         residual=residual,
     )
 
 
-def _check_real(values: np.ndarray, imag_tol: float) -> np.ndarray:
-    scale = max(1.0, float(np.abs(values.real).max(initial=0.0)))
-    worst = float(np.abs(values.imag).max(initial=0.0))
-    if worst > imag_tol * scale:
-        raise DefectiveDecompositionError(
-            f"imaginary residue {worst:.3e} exceeds tolerance; "
-            "decomposition unreliable, use matrix_power_predict"
-        )
-    return values.real
+def prediction_matrix(dec: SpectralDecomposition, n: int) -> np.ndarray:
+    """Real D x N matrix M_n = sum_l v_l mu_l^n w_l^T.
 
-
-def predict_n(
-    dec: SpectralDecomposition, x0, n: int, imag_tol: float = 1e-6
-) -> np.ndarray:
-    """n-step state forecast sum_l v_l mu_l^n phi_l(x0).
-
-    The imaginary residue of the sum is checked against ``imag_tol`` (times
-    max(1, |prediction|)) and discarded; real dynamics leave it at roundoff
-    level. Raises DefectiveDecompositionError for flagged decompositions.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if dec.defective:
-        raise DefectiveDecompositionError(
-            "decomposition flagged defective; use matrix_power_predict"
-        )
-    phi = dec.eigenfunction_values(x0)
-    y = (dec.eigenvalues**n * phi) @ dec.modes.T
-    return _check_real(y, imag_tol)
-
-
-def predict_one(dec: SpectralDecomposition, x, imag_tol: float = 1e-6) -> np.ndarray:
-    """One-step state forecast sum_l v_l mu_l phi_l(x)."""
-    return predict_n(dec, x, 1, imag_tol=imag_tol)
-
-
-def prediction_matrix(
-    dec: SpectralDecomposition, n: int, imag_tol: float = 1e-6
-) -> np.ndarray:
-    """Real D x N matrix M_n with M_n @ Psi(x) = predict_n(dec, x, n).
-
-    Folding the triple sum into one matrix lets bulk evaluation run as a
-    single real matmul; it is the same spectral formula, associated
-    differently.
+    M_n @ Psi(x) is the n-step state forecast sum_l v_l mu_l^n phi_l(x),
+    folded into one matrix so bulk evaluation is a single real matmul. The
+    imaginary residue is checked against SPECTRAL_TOL (times max(1, |M_n|))
+    and discarded; real dynamics leave it at roundoff level. Raises
+    DefectiveDecompositionError for flagged decompositions and for a residue
+    above the tolerance.
     """
     if dec.defective:
-        raise DefectiveDecompositionError(
-            "decomposition flagged defective; use matrix_power_predict"
-        )
+        raise DefectiveDecompositionError("decomposition flagged defective")
     M = (dec.modes * dec.eigenvalues**n) @ dec.left_vectors.T
-    return _check_real(M, imag_tol)
+    scale = max(1.0, float(np.abs(M.real).max(initial=0.0)))
+    worst = float(np.abs(M.imag).max(initial=0.0))
+    if worst > SPECTRAL_TOL * scale:
+        raise DefectiveDecompositionError(
+            f"imaginary residue {worst:.3e} exceeds tolerance; decomposition unreliable"
+        )
+    return M.real
 
 
-def matrix_power_predict(model: KoopmanModel, x0, n: int) -> np.ndarray:
-    """Fallback n-step forecast through explicit matrix powers, B K^n Psi(x0)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    psi = model.dictionary.evaluate(x0)
-    K = model.matrix
-    for _ in range(n):
-        psi = psi @ K.T
-    return psi @ state_projector(model.dictionary).T
+def forecast_matrices(model: KoopmanModel, horizons) -> tuple:
+    """D x N forecast matrices per horizon, via the spectral path when the
+    eigenbasis is sound, otherwise via explicit matrix powers.
+
+    Returns (matrices dict, path) with path in {"spectral", "matrix-power"}.
+    """
+    horizons = sorted(set(int(n) for n in horizons))
+    try:
+        dec = decompose(model)
+        return {n: prediction_matrix(dec, n) for n in horizons}, "spectral"
+    except (DefectiveDecompositionError, ValueError):
+        B = state_projector(model.dictionary)
+        out = {}
+        Kn = np.eye(len(model.dictionary))
+        step = 0
+        for n in horizons:
+            while step < n:
+                Kn = model.matrix @ Kn
+                step += 1
+            out[n] = B @ Kn
+        return out, "matrix-power"
 
 
-def relative_l2(y_true, y_pred) -> float:
-    """Relative l2 error ||y_pred - y_true|| / ||y_true||."""
+def relative_l2(y_true, y_pred) -> np.ndarray:
+    """Relative l2 errors ||y_pred - y_true|| / ||y_true|| over the last axis."""
     y_true = np.asarray(y_true, dtype=float)
     y_pred = np.asarray(y_pred, dtype=float)
-    denom = np.linalg.norm(y_true)
-    if denom == 0.0:
-        raise ValueError("relative l2 error undefined for zero-norm truth")
-    return float(np.linalg.norm(y_pred - y_true) / denom)
-
-
-def relative_l2_batch(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
-    """Row-wise relative l2 errors for stacked states of shape (n, D)."""
     denom = np.linalg.norm(y_true, axis=-1)
     if (denom == 0.0).any():
         raise ValueError("relative l2 error undefined for zero-norm truth")

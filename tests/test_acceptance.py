@@ -23,7 +23,7 @@ from koopseed.experiments import (
 )
 from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
 from koopseed.model import KoopmanModel
-from koopseed.spectral import decompose, predict_n, predict_one, state_projector
+from koopseed.spectral import decompose, prediction_matrix, state_projector
 
 DUFFING_PARAMS = dict(
     deltas=(0.23, 0.15, 0.11),
@@ -145,14 +145,14 @@ def test_criterion_4_spectral_consistency():
         for _ in range(5):
             x = rng.uniform(-1, 1, 2)
             psi = d.evaluate(x)
-            one = np.linalg.norm(predict_one(dec, x) - B @ (K @ psi))
+            one = np.linalg.norm(prediction_matrix(dec, 1) @ psi - B @ (K @ psi))
             worst = max(worst, one / max(1.0, np.linalg.norm(B @ (K @ psi))))
             for n in (10, 100):
                 target = psi.copy()
                 for _ in range(n):
                     target = K @ target
                 oracle = B @ target
-                rel = np.linalg.norm(predict_n(dec, x, n) - oracle) / max(
+                rel = np.linalg.norm(prediction_matrix(dec, n) @ psi - oracle) / max(
                     1.0, np.linalg.norm(oracle)
                 )
                 worst = max(worst, rel)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from koopseed import dynamics
 from koopseed.cli import main
 from koopseed.model import load_matrix_csv
 
@@ -39,6 +40,20 @@ def test_simulate_writes_trajectories(tiny_path, tmp_path):
     assert len(train) == 1 + 261
     assert (out / "test_seed0_000.csv").exists()
     assert (out / "test_seed0_001.csv").exists()
+
+
+def test_simulate_integrates_training_once(tiny_path, tmp_path, monkeypatch):
+    step = dynamics.rk4_step
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return step(*args)
+
+    monkeypatch.setattr(dynamics, "rk4_step", counted)
+    main(["simulate", "--config", tiny_path, "--out", str(tmp_path), "--tests", "2"])
+    config = tiny_config_dict()
+    assert len(calls) == config["train_steps"] + config["test_steps"]
 
 
 def test_train_batch_and_online(tiny_path, tmp_path):

@@ -119,6 +119,22 @@ class TestSimulate:
                 simulate(system, x0, 10, 0.01)
         assert info.value.step == 1
 
+    @pytest.mark.parametrize(
+        "x0s, steps, dt",
+        [
+            (np.full(6, 0.5), 3, 0.01),
+            (np.full((2, 6), 0.5), 3, np.nan),
+            (np.full((2, 6), 0.5), 3, -0.01),
+            (np.full((2, 6), 0.5), 3, 0.0),
+            (np.full((2, 6), 0.5), -1, 0.01),
+        ],
+        ids=["one-state", "nan-dt", "negative-dt", "zero-dt", "negative-steps"],
+    )
+    def test_batch_rejects_bad_input(self, x0s, steps, dt):
+        system = coupled_duffing(**DUFFING_PARAMS)
+        with pytest.raises(ValueError):
+            simulate_batch(system, x0s, steps, dt)
+
     def test_determinism_bit_identical(self):
         system = coupled_duffing(**DUFFING_PARAMS)
         x0 = sample_initial([(-1.5, 1.5)] * 6, 13)
@@ -234,7 +250,7 @@ class TestTrajectoryCSV:
     def test_round_trip(self, tmp_path):
         system = coupled_duffing(**DUFFING_PARAMS)
         x0 = sample_initial([(-1.5, 1.5)] * 6, 21)
-        traj = simulate(system, x0, 40, 0.01, seed=21)
+        traj = simulate(system, x0, 40, 0.01)
         path = tmp_path / "traj.csv"
         save_trajectory_csv(path, traj, system.layout)
         header = path.read_text().splitlines()[0]

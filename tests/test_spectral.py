@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koopseed.dictionary import build_dictionary
 from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
@@ -7,12 +9,9 @@ from koopseed.model import KoopmanModel
 from koopseed.spectral import (
     DefectiveDecompositionError,
     decompose,
-    matrix_power_predict,
-    predict_n,
-    predict_one,
+    forecast_matrices,
     prediction_matrix,
     relative_l2,
-    relative_l2_batch,
     state_projector,
 )
 
@@ -22,6 +21,17 @@ def random_diagonalizable(n, rng, spectral_radius=1.0):
     K = rng.standard_normal((n, n)) * 0.3 + np.eye(n) * 0.2
     radius = np.abs(np.linalg.eigvals(K)).max()
     return K * (spectral_radius / radius)
+
+
+def power_forecasts(K, B, horizons):
+    """Oracle B @ K^n per horizon, K^n formed by repeated left-multiplication."""
+    out = {}
+    Kn = np.eye(K.shape[0])
+    for n in range(1, max(horizons) + 1):
+        Kn = K @ Kn
+        if n in horizons:
+            out[n] = B @ Kn
+    return out
 
 
 class TestDecompose:
@@ -39,7 +49,7 @@ class TestDecompose:
         dec = decompose(KoopmanModel(d, np.eye(len(d))))
         assert np.allclose(dec.eigenvalues, np.ones(len(d)))
         x = np.array([0.3, -0.7])
-        assert np.allclose(predict_one(dec, x), x, atol=1e-10)
+        assert np.allclose(prediction_matrix(dec, 1) @ d.evaluate(x), x, atol=1e-10)
 
     def test_biorthonormality(self):
         d = build_dictionary(2, 3)
@@ -72,7 +82,7 @@ class TestDecompose:
         dec = decompose(KoopmanModel(d, jordan))
         assert dec.defective
         with pytest.raises(DefectiveDecompositionError):
-            predict_one(dec, np.array([1.0]))
+            prediction_matrix(dec, 1)
 
     def test_rejects_nonfinite(self):
         d = build_dictionary(1, 1)
@@ -89,7 +99,7 @@ class TestPredict:
             dec = decompose(KoopmanModel(d, K))
             x = rng.uniform(-1, 1, 2)
             oracle = state_projector(d) @ (K @ d.evaluate(x))
-            got = predict_one(dec, x)
+            got = prediction_matrix(dec, 1) @ d.evaluate(x)
             assert np.linalg.norm(got - oracle) <= 1e-8 * max(1.0, np.linalg.norm(oracle))
 
     def test_scalar_flow_seed(self):
@@ -99,33 +109,26 @@ class TestPredict:
         model = local_koopman(build_generator(f, d), dt)
         dec = decompose(model)
         for x in (0.4, -1.2):
-            got = predict_one(dec, np.array([x]))
+            got = prediction_matrix(dec, 1) @ d.evaluate(np.array([x]))
             assert got[0] == pytest.approx(np.exp(lam * dt) * x, rel=1e-10)
-
-    def test_predict_n_one_step_reduction(self):
-        d = build_dictionary(2, 2)
-        rng = np.random.default_rng(3)
-        dec = decompose(KoopmanModel(d, random_diagonalizable(len(d), rng)))
-        x = rng.uniform(-1, 1, 2)
-        assert np.array_equal(predict_n(dec, x, 1), predict_one(dec, x))
 
     def test_geometric_decay(self):
         d = build_dictionary(1, 1)
         dec = decompose(KoopmanModel(d, np.diag([1.0, 0.9])))
         for n in (1, 5, 20):
-            got = predict_n(dec, np.array([2.0]), n)
+            got = prediction_matrix(dec, n) @ d.evaluate(np.array([2.0]))
             assert got[0] == pytest.approx(0.9**n * 2.0, rel=1e-12)
 
     def test_predict_n_against_power_oracle(self):
         d = build_dictionary(2, 3)  # 10-dimensional dictionary
         rng = np.random.default_rng(4)
         K = random_diagonalizable(len(d), rng, spectral_radius=1.05)
-        model = KoopmanModel(d, K)
-        dec = decompose(model)
-        x = rng.uniform(-1, 1, 2)
+        dec = decompose(KoopmanModel(d, K))
+        psi = d.evaluate(rng.uniform(-1, 1, 2))
+        oracles = power_forecasts(K, state_projector(d), (1, 10, 100))
         for n in (1, 10, 100):
-            oracle = matrix_power_predict(model, x, n)
-            got = predict_n(dec, x, n)
+            oracle = oracles[n] @ psi
+            got = prediction_matrix(dec, n) @ psi
             rel = np.linalg.norm(got - oracle) / max(1.0, np.linalg.norm(oracle))
             assert rel <= 1e-6
 
@@ -158,22 +161,56 @@ class TestPredict:
             M = prediction_matrix(dec, n)
             for _ in range(5):
                 x = rng.uniform(-1, 1, 2)
-                assert np.allclose(M @ d.evaluate(x), predict_n(dec, x, n), atol=1e-10)
+                pointwise = (dec.eigenvalues**n * dec.eigenfunction_values(x)) @ dec.modes.T
+                assert np.abs(pointwise.imag).max() <= 1e-10
+                assert np.allclose(M @ d.evaluate(x), pointwise.real, atol=1e-10)
 
     def test_matrix_power_fallback_for_defective(self):
-        d = build_dictionary(1, 1)
-        jordan = np.array([[1.0, 1.0], [0.0, 1.0]])
-        model = KoopmanModel(d, jordan)
-        x = np.array([0.5])
-        # Psi = (1, x); K^n Psi = (1 + n x, x); projection keeps x
-        got = matrix_power_predict(model, x, 3)
-        assert got[0] == pytest.approx(0.5)
+        d = build_dictionary(2, 2)
+        K = np.diag([1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
+        K[2, 3] = 1.0
+        K[3, 3] = 0.8  # 2x2 Jordan block for eigenvalue 0.8
+        mats, path = forecast_matrices(KoopmanModel(d, K), [3, 1, 3])
+        assert path == "matrix-power"
+        oracle = power_forecasts(K, state_projector(d), (1, 3))
+        assert sorted(mats) == [1, 3]
+        for n in (1, 3):
+            assert np.array_equal(mats[n], oracle[n])
 
-    def test_predict_n_validates_n(self):
+
+class TestForecastMatrices:
+    def test_nonfinite_model_takes_matrix_powers(self):
         d = build_dictionary(1, 1)
-        dec = decompose(KoopmanModel(d, np.eye(2)))
-        with pytest.raises(ValueError):
-            predict_n(dec, np.array([1.0]), 0)
+        K = np.array([[1.0, 0.0], [np.inf, 0.5]])
+        with np.errstate(invalid="ignore"):  # inf * 0 in the matrix powers
+            _, path = forecast_matrices(KoopmanModel(d, K), [1])
+        assert path == "matrix-power"
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2)]))
+    def test_spectral_equals_matrix_power(self, seed, shape):
+        # K = V R V^-1 with R real 2x2 rotation-scaling blocks (and one 1x1
+        # block for odd sizes), spectral radius 1, and cond(V) <= 4
+        d = build_dictionary(*shape)
+        N = len(d)
+        rng = np.random.default_rng(seed)
+        R = np.zeros((N, N))
+        radii = rng.uniform(0.3, 1.0, N)
+        radii[0] = 1.0
+        for k in range(0, N - 1, 2):
+            c, s = np.cos(rng.uniform(0.1, 3.0)), np.sin(rng.uniform(0.1, 3.0))
+            R[k : k + 2, k : k + 2] = radii[k] * np.array([[c, -s], [s, c]])
+        if N % 2:
+            R[-1, -1] = -radii[-1]
+        Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+        V = Q * rng.uniform(0.5, 2.0, N)
+        K = V @ R @ np.linalg.inv(V)
+        horizons = range(1, 51)
+        mats, path = forecast_matrices(KoopmanModel(d, K), horizons)
+        assert path == "spectral"
+        oracle = power_forecasts(K, state_projector(d), horizons)
+        for n in horizons:
+            rel = np.linalg.norm(mats[n] - oracle[n]) / max(1.0, np.linalg.norm(oracle[n]))
+            assert rel <= 1e-6
 
 
 class TestRelativeL2:
@@ -190,10 +227,10 @@ class TestRelativeL2:
         rng = np.random.default_rng(8)
         true = rng.uniform(-1, 1, (6, 3))
         pred = true + rng.normal(0, 0.1, true.shape)
-        batch = relative_l2_batch(true, pred)
+        batch = relative_l2(true, pred)
         for k in range(6):
             assert batch[k] == pytest.approx(relative_l2(true[k], pred[k]))
 
     def test_batch_zero_norm_rejected(self):
         with pytest.raises(ValueError):
-            relative_l2_batch(np.zeros((2, 2)), np.ones((2, 2)))
+            relative_l2(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
