@@ -27,10 +27,10 @@ from .dynamics import (
 from .edmd import (
     OnlineState,
     SnapshotPair,
-    batch_edmd,
+    batch_edmd_from_psi,
     online_init,
     online_update,
-    pairs_from_states,
+    online_update_many,
 )
 from .experiments import (
     ExperimentConfig,
@@ -38,9 +38,6 @@ from .experiments import (
     derive_seed_model,
     load_config,
     run_experiments,
-    run_nstep_experiment,
-    run_onestep_experiment,
-    run_spectrum_export,
 )
 from .generator import (
     GeneratorMatrix,
@@ -75,7 +72,7 @@ __all__ = [
     "Trajectory",
     "VariableLayout",
     "assemble_global",
-    "batch_edmd",
+    "batch_edmd_from_psi",
     "build_dictionary",
     "build_generator",
     "coupled_duffing",
@@ -91,14 +88,11 @@ __all__ = [
     "local_koopman",
     "online_init",
     "online_update",
-    "pairs_from_states",
+    "online_update_many",
     "perturb_initial",
     "relative_l2",
     "rk4_step",
     "run_experiments",
-    "run_nstep_experiment",
-    "run_onestep_experiment",
-    "run_spectrum_export",
     "sample_initial",
     "save_matrix_csv",
     "simulate",

@@ -15,16 +15,14 @@ from .experiments import (
     load_config,
     override_config,
     run_experiments,
-    run_nstep_experiment,
-    run_onestep_experiment,
-    run_spectrum_export,
     simulate_training,
 )
 from .model import KoopmanModel, save_matrix_csv
 
 
-def _add_common(parser):
-    parser.add_argument("--config", required=True, help="config file path or bundled preset name")
+def _add_common(parser, config=True):
+    if config:
+        parser.add_argument("--config", required=True, help="config file path or bundled preset name")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--degree", type=int, default=None, help="override dictionary degree")
     parser.add_argument("--sigma", type=float, default=None, help="override online regularization sigma")
@@ -126,18 +124,13 @@ def _print_summary(summary, label):
 
 
 def _cmd_eval_onestep(args):
-    config = _load(args)
-    summary = run_onestep_experiment(config, out_dir=args.out, write_raw=not args.no_raw)
+    summary = run_experiments(_load(args), ("onestep",), args.out, not args.no_raw)["onestep"]
     _print_summary(summary, "onestep")
 
 
 def _cmd_eval_nstep(args):
-    config = _load(args)
-    if args.pairs is not None:
-        config = override_config(config, nstep_train_pairs=args.pairs)
-    if args.horizon is not None:
-        config = override_config(config, nstep_horizon=args.horizon)
-    summary = run_nstep_experiment(config, out_dir=args.out, write_raw=not args.no_raw)
+    config = override_config(_load(args), nstep_train_pairs=args.pairs, nstep_horizon=args.horizon)
+    summary = run_experiments(config, ("nstep",), args.out, not args.no_raw)["nstep"]
     _print_summary(summary, "nstep")
 
 
@@ -150,10 +143,8 @@ def _print_spectrum(result):
 
 
 def _cmd_spectrum(args):
-    config = _load(args)
-    _print_spectrum(
-        run_spectrum_export(config, pair_count=args.pairs, out_dir=args.out, threshold=args.threshold)
-    )
+    config = override_config(_load(args), spectrum_train_pairs=args.pairs)
+    _print_spectrum(run_experiments(config, ("spectrum",), args.out, threshold=args.threshold)["spectrum"])
 
 
 def _cmd_reproduce(args):
@@ -219,13 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="full benchmark for a bundled preset")
     p.add_argument("preset", choices=bundled_preset_names())
-    p.add_argument("--out", required=True)
-    p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--degree", type=int, default=None)
-    p.add_argument("--checkpoint-stride", type=int, default=None)
-    p.add_argument("--max-pairs", type=int, default=None)
-    p.add_argument("--no-raw", action="store_true")
+    _add_common(p, config=False)
+    _add_experiment_flags(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

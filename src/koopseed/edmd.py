@@ -30,20 +30,6 @@ class SnapshotPair:
             raise ValueError("snapshot pair contains non-finite values")
 
 
-def pairs_from_states(states) -> list:
-    """Consecutive rows of a trajectory as snapshot pairs (M pairs from M+1 states)."""
-    states = np.asarray(states, dtype=float)
-    return [SnapshotPair(states[k], states[k + 1]) for k in range(len(states) - 1)]
-
-
-def _stack_pairs(dictionary: Dictionary, pairs) -> tuple:
-    if len(pairs) < 1:
-        raise ValueError("at least one snapshot pair is required")
-    X = np.stack([p.x for p in pairs])
-    Y = np.stack([p.y for p in pairs])
-    return dictionary.evaluate(X), dictionary.evaluate(Y)
-
-
 def batch_edmd_from_psi(
     dictionary: Dictionary, psi_x: np.ndarray, psi_y: np.ndarray
 ) -> KoopmanModel:
@@ -53,10 +39,12 @@ def batch_edmd_from_psi(
     pseudoinverse with singular values below eps * max_dim * sigma_max
     zeroed. Rank deficiency is tolerated and reported in the diagnostics.
     """
+    if psi_x.shape[0] < 1:
+        raise ValueError("at least one snapshot pair is required")
     Q = psi_y.T @ psi_x
     P = psi_x.T @ psi_x
     u, s, vt = np.linalg.svd(P)
-    cutoff = np.finfo(float).eps * max(P.shape) * (s[0] if s.size else 0.0)
+    cutoff = np.finfo(float).eps * max(P.shape) * s[0]
     keep = s > cutoff
     inv_s = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
     P_pinv = (vt.T * inv_s) @ u.T
@@ -70,12 +58,6 @@ def batch_edmd_from_psi(
             "rank_deficient": rank < len(dictionary),
         },
     )
-
-
-def batch_edmd(dictionary: Dictionary, pairs) -> KoopmanModel:
-    """Batch EDMD over snapshot pairs: K = Q P^+."""
-    psi_x, psi_y = _stack_pairs(dictionary, pairs)
-    return batch_edmd_from_psi(dictionary, psi_x, psi_y)
 
 
 @dataclass

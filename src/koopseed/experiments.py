@@ -243,7 +243,6 @@ class ExperimentData:
 
     train_states: np.ndarray  # (train_pairs + 1, D)
     test_states: np.ndarray  # (test_count, test_length, D)
-    train_x0: np.ndarray
 
 
 def simulate_training(config: ExperimentConfig, seed_index: int) -> tuple:
@@ -279,7 +278,6 @@ def generate_data(config: ExperimentConfig, seed_index: int) -> ExperimentData:
     return ExperimentData(
         train_states=train_states,
         test_states=test[:, config.test_burn_in :],
-        train_x0=x0,
     )
 
 
@@ -425,12 +423,6 @@ def _aggregate_summaries(per_seed: list) -> ErrorSummary:
     return ErrorSummary(rows)
 
 
-def _write_raw(path, header: str, columns: list) -> None:
-    data = np.column_stack(columns)
-    fmt = ["%d"] * (len(columns) - 1) + ["%.17g"]
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=header, comments="")
-
-
 def _write_notes(path, notes: list) -> None:
     if notes:
         with open(path, "w", newline="\n") as fh:
@@ -455,69 +447,55 @@ def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
             )
 
 
-def _score_onestep(config, dictionary, s, data, models, notes, out_dir, write_raw) -> ErrorSummary:
-    """One seed's one-step errors of both methods at every checkpoint."""
-    checkpoints = config.checkpoints()
+def _onestep_scores(config, dictionary, s, data, models, notes) -> dict:
+    """One seed's one-step errors of both methods at every checkpoint,
+    {checkpoint: {method: (test_count, length-1)}}."""
     psi_test = dictionary.evaluate(data.test_states)
     per_key = {}
-    raw = {m: [] for m in METHODS}
-    for cp in checkpoints:
+    for cp in config.checkpoints():
         per_key[cp] = {}
         for method in METHODS:
             mats, path = forecast_matrices(models[method][cp], [1])
             if path != "spectral":
                 notes.append(f"seed={s} checkpoint={cp} method={method} forecast-path={path}")
-            err = onestep_errors(mats[1], psi_test, data.test_states)
-            per_key[cp][method] = err
-            raw[method].append(err)
-    summary = _summary_from_errors(per_key)
-
-    if out_dir is not None:
-        summary.write_csv(os.path.join(out_dir, f"onestep_summary_seed{s}.csv"))
-        if write_raw:
-            n_traj, n_pts = raw[METHODS[0]][0].shape
-            traj_col = np.repeat(np.arange(n_traj), n_pts)
-            step_col = np.tile(np.arange(1, n_pts + 1), n_traj)
-            for method in METHODS:
-                cks = np.concatenate([np.full(n_traj * n_pts, cp) for cp in checkpoints])
-                errs = np.concatenate([e.ravel() for e in raw[method]])
-                _write_raw(
-                    os.path.join(out_dir, f"onestep_raw_seed{s}_{method}.csv"),
-                    "checkpoint,traj,step,error",
-                    [cks, np.tile(traj_col, len(checkpoints)), np.tile(step_col, len(checkpoints)), errs],
-                )
-    return summary
+            per_key[cp][method] = onestep_errors(mats[1], psi_test, data.test_states)
+    return per_key
 
 
-def _score_nstep(config, dictionary, s, data, models, notes, out_dir, write_raw) -> ErrorSummary:
+def _nstep_scores(config, dictionary, s, data, models, notes) -> dict:
     """One seed's n-step errors, n = 1..horizon, of both methods trained on
-    ``nstep_train_pairs`` pairs."""
+    ``nstep_train_pairs`` pairs, {n: {method: (test_count,)}}."""
     pairs = config.nstep_train_pairs
     horizon = config.nstep_horizon
     psi0 = dictionary.evaluate(data.test_states[:, 0, :])
-    errs_by_method = {}
+    per_key = {n: {} for n in range(1, horizon + 1)}
     for method in METHODS:
         mats, path = forecast_matrices(models[method][pairs], range(1, horizon + 1))
         if path != "spectral":
             notes.append(f"seed={s} pairs={pairs} method={method} forecast-path={path}")
-        errs_by_method[method] = nstep_errors(mats, psi0, data.test_states, horizon)
-    summary = _summary_from_errors(
-        {n: {m: errs_by_method[m][n - 1] for m in METHODS} for n in range(1, horizon + 1)}
-    )
+        errs = nstep_errors(mats, psi0, data.test_states, horizon)
+        for n in per_key:
+            per_key[n][method] = errs[n - 1]
+    return per_key
 
-    if out_dir is not None:
-        summary.write_csv(os.path.join(out_dir, f"nstep_summary_seed{s}.csv"))
-        if write_raw:
-            n_traj = config.test_count
-            n_col = np.repeat(np.arange(1, horizon + 1), n_traj)
-            traj_col = np.tile(np.arange(n_traj), horizon)
-            for method in METHODS:
-                _write_raw(
-                    os.path.join(out_dir, f"nstep_raw_seed{s}_{method}.csv"),
-                    "n,traj,error",
-                    [n_col, traj_col, errs_by_method[method].ravel()],
-                )
-    return summary
+
+# Scored stage -> (one seed's scorer, raw CSV header).
+_SCORED = {
+    "onestep": (_onestep_scores, "checkpoint,traj,step,error"),
+    "nstep": (_nstep_scores, "n,traj,error"),
+}
+
+
+def _write_raw(path, header: str, per_key: dict, method: str) -> None:
+    """One row per error: key, trajectory (from 0), further axes (from 1), error."""
+    keys = sorted(per_key)
+    shape = per_key[keys[0]][method].shape
+    index = np.indices(shape).reshape(len(shape), -1)
+    index[1:] += 1
+    errors = np.concatenate([per_key[k][method].ravel() for k in keys])
+    data = np.column_stack([np.repeat(keys, index.shape[1]), *np.tile(index, len(keys)), errors])
+    fmt = ["%d"] * (data.shape[1] - 1) + ["%.17g"]
+    np.savetxt(path, data, fmt=fmt, delimiter=",", header=header, comments="")
 
 
 def run_experiments(
@@ -525,7 +503,6 @@ def run_experiments(
     stages=STAGES,
     out_dir=None,
     write_raw: bool = True,
-    pair_count: int | None = None,
     threshold: float = 0.99,
     seed_model: KoopmanModel | None = None,
 ) -> dict:
@@ -533,34 +510,47 @@ def run_experiments(
 
     Each seed's data is simulated once and both methods are trained once, at
     the union of the pair counts the stages need, and every stage scores
-    those models. Returns {stage: result}, each result as returned by
-    run_onestep_experiment, run_nstep_experiment or run_spectrum_export.
+    those models. Returns {stage: result}: the seed-averaged ErrorSummary for
+    "onestep" and "nstep", and for "spectrum" {"pairs", "threshold",
+    "counts": {method: [per seed]}, "mean_counts": {method: float}}, where a
+    count is the number of eigenvalues with |mu| > threshold at
+    ``spectrum_train_pairs`` pairs. With ``out_dir``, writes per-seed and
+    averaged summaries, raw per-point errors (``write_raw``), spectra and
+    counts as CSV.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
     if seed_model is None:
         seed_model = derive_seed_model(config)
     dictionary = config.dictionary()
-    spectrum_pairs = pair_count if pair_count is not None else config.spectrum_train_pairs
+    spectrum_pairs = config.spectrum_train_pairs
     needed = {
         "onestep": config.checkpoints(),
         "nstep": [config.nstep_train_pairs],
         "spectrum": [spectrum_pairs],
     }
     pairs = sorted(set().union(*(needed[stage] for stage in stages)))
-    scorers = {k: f for k, f in (("onestep", _score_onestep), ("nstep", _score_nstep)) if k in stages}
-    per_seed = {stage: [] for stage in scorers}
-    notes = {stage: [] for stage in scorers}
+    scored = [stage for stage in _SCORED if stage in stages]
+    per_seed = {stage: [] for stage in scored}
+    notes = {stage: [] for stage in scored}
     counts = {m: [] for m in METHODS}
 
     for s in range(config.seeds):
         data = generate_data(config, s)
         models = train_checkpoint_models(config, data, pairs, seed_model)
         with np.errstate(over="ignore", invalid="ignore"):  # forecast blow-ups are data
-            for stage, score in scorers.items():
-                per_seed[stage].append(
-                    score(config, dictionary, s, data, models, notes[stage], out_dir, write_raw)
-                )
+            for stage in scored:
+                score, header = _SCORED[stage]
+                per_key = score(config, dictionary, s, data, models, notes[stage])
+                summary = _summary_from_errors(per_key)
+                per_seed[stage].append(summary)
+                if out_dir is None:
+                    continue
+                summary.write_csv(os.path.join(out_dir, f"{stage}_summary_seed{s}.csv"))
+                if write_raw:
+                    for method in METHODS:
+                        path = os.path.join(out_dir, f"{stage}_raw_seed{s}_{method}.csv")
+                        _write_raw(path, header, per_key, method)
         if "spectrum" in stages:
             for method in METHODS:
                 mu = spectrum_of(models[method][spectrum_pairs])
@@ -568,7 +558,7 @@ def run_experiments(
                 if out_dir is not None:
                     save_spectrum_csv(os.path.join(out_dir, f"spectrum_seed{s}_{method}.csv"), mu)
 
-    results = {stage: _aggregate_summaries(per_seed[stage]) for stage in scorers}
+    results = {stage: _aggregate_summaries(per_seed[stage]) for stage in scored}
     if out_dir is not None:
         for stage, summary in results.items():
             summary.write_csv(os.path.join(out_dir, f"{stage}_summary.csv"))
@@ -587,39 +577,3 @@ def run_experiments(
                     for s, c in enumerate(counts[method]):
                         fh.write(f"{method},{s},{c},{format(threshold, '.17g')},{spectrum_pairs}\n")
     return results
-
-
-def run_onestep_experiment(
-    config: ExperimentConfig, out_dir=None, write_raw: bool = True
-) -> ErrorSummary:
-    """One-step-ahead error of both methods at every checkpoint.
-
-    Repeats the full experiment for each RNG seed, emits per-seed summaries
-    plus raw per-point errors, and returns the seed-averaged summary.
-    """
-    return run_experiments(config, ("onestep",), out_dir, write_raw)["onestep"]
-
-
-def run_nstep_experiment(
-    config: ExperimentConfig, out_dir=None, write_raw: bool = True
-) -> ErrorSummary:
-    """n-step forecast error from each test initial state, n = 1..horizon,
-    with both methods trained on the configured pair count."""
-    return run_experiments(config, ("nstep",), out_dir, write_raw)["nstep"]
-
-
-def run_spectrum_export(
-    config: ExperimentConfig,
-    pair_count: int | None = None,
-    out_dir=None,
-    threshold: float = 0.99,
-) -> dict:
-    """Eigenvalue spectra of both methods at a fixed training size.
-
-    Writes per-seed spectra CSVs plus a counts file of eigenvalues with
-    |mu| > threshold; returns {"pairs", "threshold", "counts": {method: [per
-    seed]}, "mean_counts": {method: float}}.
-    """
-    return run_experiments(
-        config, ("spectrum",), out_dir, pair_count=pair_count, threshold=threshold
-    )["spectrum"]

@@ -65,9 +65,6 @@ class PolynomialVectorField:
     def component_count(self) -> int:
         return len(self.components)
 
-    def max_term_degree(self) -> int:
-        return max((sum(m) for terms in self.components for (m, _) in terms), default=0)
-
     def evaluate(self, x) -> np.ndarray:
         """Evaluate the field at a state or a batch of states (..., var_count)."""
         x = np.asarray(x, dtype=float)

@@ -12,15 +12,8 @@ from scipy.linalg import expm
 from koopseed.assembly import assemble_global
 from koopseed.dictionary import VariableLayout, build_dictionary
 from koopseed.dynamics import coupled_duffing, rk4_step, sample_initial
-from koopseed.edmd import SnapshotPair, batch_edmd, online_init, online_update
-from koopseed.experiments import (
-    METHODS,
-    load_config,
-    override_config,
-    run_nstep_experiment,
-    run_onestep_experiment,
-    run_spectrum_export,
-)
+from koopseed.edmd import SnapshotPair, batch_edmd_from_psi, online_init, online_update
+from koopseed.experiments import load_config, override_config, run_experiments
 from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
 from koopseed.model import KoopmanModel
 from koopseed.spectral import decompose, prediction_matrix, state_projector
@@ -110,7 +103,7 @@ def test_criterion_3_online_batch_equivalence():
     Q = psi_y.T @ psi_x
     P = psi_x.T @ psi_x
 
-    batch = batch_edmd(d, pairs)
+    batch = batch_edmd_from_psi(d, psi_x, psi_y)
     state = online_init(None, 1e8, dictionary=d)
     for p in pairs:
         state = online_update(state, p, d)
@@ -188,7 +181,7 @@ def test_criterion_5_duffing_onestep_trend(duffing_preset):
     """Seed-averaged one-step error: proposed below EDMD at 500..2000 pairs."""
     cfg = override_config(duffing_preset, max_pairs=2000)
     assert cfg.seeds >= 5
-    summary = run_onestep_experiment(cfg, out_dir=None, write_raw=False)
+    summary = run_experiments(cfg, ("onestep",))["onestep"]
     rows = {
         cp: (summary.get(cp, "proposed").mean, summary.get(cp, "edmd").mean)
         for cp in [500, 1000, 1500, 2000]
@@ -204,7 +197,7 @@ def test_criterion_6_vdp_onestep_trend(vdp_preset):
     means within a factor of 2 from 3000 pairs on."""
     cfg = vdp_preset
     assert cfg.seeds >= 5
-    summary = run_onestep_experiment(cfg, out_dir=None, write_raw=False)
+    summary = run_experiments(cfg, ("onestep",))["onestep"]
     below = {}
     for cp in (500, 1000, 1500, 2000, 2500):
         p, e = summary.get(cp, "proposed").mean, summary.get(cp, "edmd").mean
@@ -232,7 +225,7 @@ def test_criterion_6_vdp_onestep_trend(vdp_preset):
 def test_criterion_7_nstep_trend(preset_name):
     """Seed-averaged n-step error: proposed <= EDMD on >= 90 of 100 horizons."""
     cfg = load_config(preset_name)
-    summary = run_nstep_experiment(cfg, out_dir=None, write_raw=False)
+    summary = run_experiments(cfg, ("nstep",))["nstep"]
     wins = sum(
         1
         for n in summary.keys()
@@ -249,7 +242,8 @@ def test_criterion_7_nstep_trend(preset_name):
 def test_criterion_8_spectrum_counts(preset_name, pair_count):
     """Fewer near-unit-magnitude eigenvalues for the proposed method."""
     cfg = load_config(preset_name)
-    result = run_spectrum_export(cfg, pair_count=pair_count, out_dir=None, threshold=0.99)
+    assert cfg.spectrum_train_pairs == pair_count
+    result = run_experiments(cfg, ("spectrum",), threshold=0.99)["spectrum"]
     mean_p = result["mean_counts"]["proposed"]
     mean_e = result["mean_counts"]["edmd"]
     assert report(

@@ -114,6 +114,14 @@ def test_spectrum_cli(tiny_path, tmp_path, capsys):
     assert not (out / "spectrum.svg").exists()
 
 
+@pytest.mark.parametrize("pairs", ["-5", "0", "261"])
+def test_spectrum_pairs_checked_like_config(tiny_path, tmp_path, pairs):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=r"spectrum_train_pairs must lie in \[1, 260\]"):
+        main(["spectrum", "--config", tiny_path, "--out", str(out), "--seeds", "1", "--pairs", pairs])
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_unknown_preset_fails_cleanly(tmp_path):
     with pytest.raises(FileNotFoundError):
         main(["derive", "--config", "nope", "--out", str(tmp_path)])

@@ -6,11 +6,10 @@ from koopseed.dynamics import coupled_duffing, sample_initial, simulate
 from koopseed.edmd import (
     OnlineState,
     SnapshotPair,
-    batch_edmd,
+    batch_edmd_from_psi,
     online_init,
     online_update,
     online_update_many,
-    pairs_from_states,
 )
 
 DUFFING_PARAMS = dict(
@@ -38,8 +37,8 @@ def ridge_oracle(dictionary, pairs, sigma, seed_matrix=None):
 def duffing_pairs(count, seed=0):
     system = coupled_duffing(**DUFFING_PARAMS)
     x0 = sample_initial([(-1.5, 1.5)] * 6, seed)
-    traj = simulate(system, x0, count, 0.01)
-    return pairs_from_states(traj.states)
+    states = simulate(system, x0, count, 0.01).states
+    return [SnapshotPair(states[k], states[k + 1]) for k in range(count)]
 
 
 def run_online(dictionary, pairs, sigma, seed=None):
@@ -56,12 +55,11 @@ class TestSnapshotPair:
         with pytest.raises(ValueError):
             SnapshotPair([np.nan], [1.0])
 
-    def test_pairs_from_states(self):
-        states = np.arange(8.0).reshape(4, 2)
-        pairs = pairs_from_states(states)
-        assert len(pairs) == 3
-        assert np.array_equal(pairs[1].x, states[1])
-        assert np.array_equal(pairs[1].y, states[2])
+
+def batch_from_pairs(dictionary, pairs):
+    X = np.stack([p.x for p in pairs])
+    Y = np.stack([p.y for p in pairs])
+    return batch_edmd_from_psi(dictionary, dictionary.evaluate(X), dictionary.evaluate(Y))
 
 
 class TestBatchEDMD:
@@ -69,7 +67,7 @@ class TestBatchEDMD:
         d = build_dictionary(2, 2)
         rng = np.random.default_rng(0)
         pairs = [SnapshotPair(x, x) for x in rng.uniform(-1, 1, (3 * len(d), 2))]
-        model = batch_edmd(d, pairs)
+        model = batch_from_pairs(d, pairs)
         assert np.linalg.norm(model.matrix - np.eye(len(d))) <= 1e-10
 
     def test_scalar_linear_map_is_exact(self):
@@ -77,21 +75,23 @@ class TestBatchEDMD:
         d = build_dictionary(1, 2)
         xs = np.linspace(-1.0, 1.0, 9).reshape(-1, 1)
         pairs = [SnapshotPair(x, a * x) for x in xs]
-        model = batch_edmd(d, pairs)
+        model = batch_from_pairs(d, pairs)
         assert np.allclose(model.matrix, np.diag([1.0, a, a * a]), atol=1e-12)
         assert model.diagnostics["rank_deficient"] is False
 
     def test_degenerate_data_is_flagged(self):
         d = build_dictionary(2, 2)
         pairs = [SnapshotPair([0.5, 0.5], [0.4, 0.4])] * 10
-        model = batch_edmd(d, pairs)
+        model = batch_from_pairs(d, pairs)
         assert model.diagnostics["rank_deficient"] is True
         assert model.diagnostics["gram_rank"] == 1
         assert np.isfinite(model.matrix).all()
 
     def test_requires_pairs(self):
-        with pytest.raises(ValueError):
-            batch_edmd(build_dictionary(1, 1), [])
+        d = build_dictionary(1, 1)
+        empty = np.empty((0, len(d)))
+        with pytest.raises(ValueError, match="at least one snapshot pair"):
+            batch_edmd_from_psi(d, empty, empty)
 
 
 class TestOnlineInit:
@@ -213,7 +213,7 @@ class TestOnlineUpdate:
         X = rng.uniform(-1.5, 1.5, (100, 2))
         pairs = [SnapshotPair(x, rk4_step(fld, x, 0.01)) for x in X]
         online = run_online(d, pairs, 1e8)
-        batch = batch_edmd(d, pairs)
+        batch = batch_from_pairs(d, pairs)
         rel = np.linalg.norm(online.matrix - batch.matrix) / np.linalg.norm(batch.matrix)
         assert rel <= 1e-5
 

@@ -15,10 +15,8 @@ from koopseed.experiments import (
     load_config,
     override_config,
     run_experiments,
-    run_nstep_experiment,
-    run_onestep_experiment,
-    run_spectrum_export,
     save_spectrum_csv,
+    simulate_training,
     spectrum_of,
     train_checkpoint_models,
 )
@@ -194,8 +192,9 @@ class TestGenerateData:
 
     def test_test_starts_near_training_initial_state(self, tiny_config):
         data = generate_data(tiny_config, 0)
+        x0 = simulate_training(tiny_config, 0)[0]
         for t in range(tiny_config.test_count):
-            offset = data.test_states[t, 0] - data.train_x0
+            offset = data.test_states[t, 0] - x0
             assert np.all(np.abs(offset) < tiny_config.perturb_radius)
 
     def test_burn_in_discards(self):
@@ -216,7 +215,7 @@ class TestGenerateData:
 class TestExperimentDrivers:
     def test_onestep_summary_and_raw_agree(self, tiny_config, tmp_path):
         out = tmp_path / "run"
-        summary = run_onestep_experiment(tiny_config, out_dir=out)
+        summary = run_experiments(tiny_config, ("onestep",), out)["onestep"]
         keys = summary.keys()
         assert keys == [130, 260]
         points_per_seed = tiny_config.test_count * (tiny_config.test_length - 1)
@@ -243,12 +242,12 @@ class TestExperimentDrivers:
 
     def test_onestep_single_checkpoint(self, tiny_config):
         cfg = override_config(tiny_config, checkpoint_stride=260, seeds=1)
-        summary = run_onestep_experiment(cfg, out_dir=None)
+        summary = run_experiments(cfg, ("onestep",))["onestep"]
         assert summary.keys() == [260]
 
     def test_nstep_horizon_one_reduces_to_one_step(self, tiny_config):
         cfg = override_config(tiny_config, nstep_horizon=1, seeds=1)
-        summary = run_nstep_experiment(cfg, out_dir=None)
+        summary = run_experiments(cfg, ("nstep",))["nstep"]
         assert summary.keys() == [1]
         # recompute: one-step predictions from each test trajectory start
         from koopseed.experiments import forecast_matrices
@@ -269,14 +268,14 @@ class TestExperimentDrivers:
 
     def test_nstep_files(self, tiny_config, tmp_path):
         out = tmp_path / "nstep"
-        summary = run_nstep_experiment(tiny_config, out_dir=out)
+        summary = run_experiments(tiny_config, ("nstep",), out)["nstep"]
         assert summary.keys() == list(range(1, 21))
         raw = np.loadtxt(out / "nstep_raw_seed0_proposed.csv", delimiter=",", skiprows=1)
         assert raw.shape == (20 * tiny_config.test_count, 3)
 
     def test_spectrum_export(self, tiny_config, tmp_path):
         out = tmp_path / "spec"
-        result = run_spectrum_export(tiny_config, out_dir=out, threshold=0.99)
+        result = run_experiments(tiny_config, ("spectrum",), out, threshold=0.99)["spectrum"]
         n_dic = len(tiny_config.dictionary())
         for method in METHODS:
             assert len(result["counts"][method]) == tiny_config.seeds
@@ -299,8 +298,8 @@ class TestExperimentDrivers:
 
     def test_byte_determinism(self, tiny_config, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        run_onestep_experiment(tiny_config, out_dir=out_a)
-        run_onestep_experiment(tiny_config, out_dir=out_b)
+        run_experiments(tiny_config, ("onestep",), out_a)
+        run_experiments(tiny_config, ("onestep",), out_b)
         files_a = sorted(p.name for p in out_a.iterdir())
         assert files_a == sorted(p.name for p in out_b.iterdir())
         for name in files_a:
@@ -309,10 +308,8 @@ class TestExperimentDrivers:
     def test_shared_pass_matches_separate_stages(self, tiny_config, tmp_path):
         shared, separate = tmp_path / "shared", tmp_path / "separate"
         results = run_experiments(tiny_config, out_dir=shared)
-        onestep = run_onestep_experiment(tiny_config, out_dir=separate)
-        nstep = run_nstep_experiment(tiny_config, out_dir=separate)
-        spectrum = run_spectrum_export(tiny_config, out_dir=separate)
-        assert results == {"onestep": onestep, "nstep": nstep, "spectrum": spectrum}
+        alone = {stage: run_experiments(tiny_config, (stage,), separate)[stage] for stage in results}
+        assert results == alone
         names = sorted(p.name for p in shared.iterdir())
         assert names == sorted(p.name for p in separate.iterdir())
         assert "onestep_raw_seed1_edmd.csv" in names and "nstep_raw_seed1_edmd.csv" in names
@@ -332,7 +329,7 @@ class TestExperimentDrivers:
     def test_methods_share_test_data(self, tiny_config):
         # identical counts per method at each checkpoint: same trajectories,
         # same points, same metric
-        summary = run_onestep_experiment(override_config(tiny_config, seeds=1), out_dir=None)
+        summary = run_experiments(override_config(tiny_config, seeds=1), ("onestep",))["onestep"]
         for key in summary.keys():
             counts = {m: summary.get(key, m).count for m in METHODS}
             assert len(set(counts.values())) == 1

@@ -1,12 +1,24 @@
-"""The README's library quick start and the package's public names stay in
-step with the API."""
+"""The README's library quick start, the package's public names and the
+names the benchmark hooks stay in step with the API."""
 
+import importlib.util
 import re
 from pathlib import Path
 
 import koopseed
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+
+# Names bench/workloads.py looks up or rebinds, by module.
+WORKLOAD_NAMES = {
+    "koopseed.experiments": (
+        "online_update_many", "forecast_matrices", "onestep_errors", "nstep_errors",
+        "simulate", "simulate_batch", "load_config", "override_config", "derive_seed_model",
+    ),
+    "koopseed.edmd": ("SnapshotPair", "online_update", "online_init"),
+    "koopseed.cli": ("main", "load_config"),
+}
 
 
 def test_readme_quick_start_runs():
@@ -18,3 +30,27 @@ def test_readme_quick_start_runs():
 
 def test_all_names_resolve():
     assert [name for name in koopseed.__all__ if not hasattr(koopseed, name)] == []
+
+
+def _bench_layers():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    return tracer.LAYERS
+
+
+def test_bench_hooked_names_resolve():
+    missing = []
+    for module_name, attr, _, _ in _bench_layers():
+        owner = importlib.import_module(module_name)
+        if "." in attr:  # the tracer patches the method on its own class
+            cls_name, meth = attr.split(".")
+            if meth not in vars(getattr(owner, cls_name, object)):
+                missing.append(f"{module_name}.{attr}")
+        elif not hasattr(owner, attr):
+            missing.append(f"{module_name}.{attr}")
+    for module_name, attrs in WORKLOAD_NAMES.items():
+        owner = importlib.import_module(module_name)
+        missing += [f"{module_name}.{a}" for a in attrs if not hasattr(owner, a)]
+    assert missing == []
