@@ -14,9 +14,6 @@ from .dynamics import (
     BlowUpError,
     CoupledSystem,
     Coupling,
-    Trajectory,
-    coupled_duffing,
-    coupled_vanderpol,
     diffusive_coupling,
     perturb_initial,
     rk4_step,
@@ -69,14 +66,11 @@ __all__ = [
     "PolynomialVectorField",
     "SnapshotPair",
     "SpectralDecomposition",
-    "Trajectory",
     "VariableLayout",
     "assemble_global",
     "batch_edmd_from_psi",
     "build_dictionary",
     "build_generator",
-    "coupled_duffing",
-    "coupled_vanderpol",
     "decompose",
     "derive_seed",
     "derive_seed_model",

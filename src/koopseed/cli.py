@@ -4,7 +4,7 @@ import argparse
 import os
 import sys
 
-from .dynamics import Trajectory, load_trajectory_csv, save_trajectory_csv
+from .dynamics import load_trajectory_csv, save_trajectory_csv
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .experiments import (
     METHODS,
@@ -56,6 +56,9 @@ def _cmd_derive(args):
 
 
 def _cmd_simulate(args):
+    for flag, value in (("--seed-index", args.seed_index), ("--tests", args.tests)):
+        if value < 0:
+            raise SystemExit(f"{flag} must be non-negative, got {value}")
     config = _load(args)
     os.makedirs(args.out, exist_ok=True)
     s = args.seed_index
@@ -66,19 +69,18 @@ def _cmd_simulate(args):
     else:
         states = simulate_training(config, s)[1]
     path = os.path.join(args.out, f"train_seed{s}.csv")
-    save_trajectory_csv(path, Trajectory(states, config.dt), config.system.layout)
+    save_trajectory_csv(path, states, config.dt, config.system.layout)
     print(f"wrote {path} ({states.shape[0]} states)")
     if args.tests:
         for t in range(min(args.tests, config.test_count)):
             tp = os.path.join(args.out, f"test_seed{s}_{t:03d}.csv")
-            save_trajectory_csv(tp, Trajectory(data.test_states[t], config.dt), config.system.layout)
+            save_trajectory_csv(tp, data.test_states[t], config.dt, config.system.layout)
         print(f"wrote {min(args.tests, config.test_count)} test trajectories")
 
 
 def _train_pairs_from_csv(config, path, pairs):
-    traj = load_trajectory_csv(path)
     dictionary = config.dictionary()
-    psi = dictionary.evaluate(traj.states)
+    psi = dictionary.evaluate(load_trajectory_csv(path)[0])
     available = psi.shape[0] - 1
     m = available if pairs is None else pairs
     if not 1 <= m <= available:
@@ -144,7 +146,7 @@ def _print_spectrum(result):
 
 def _cmd_spectrum(args):
     config = override_config(_load(args), spectrum_train_pairs=args.pairs)
-    _print_spectrum(run_experiments(config, ("spectrum",), args.out, threshold=args.threshold)["spectrum"])
+    _print_spectrum(run_experiments(config, ("spectrum",), args.out)["spectrum"])
 
 
 def _cmd_reproduce(args):
@@ -205,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--seeds", type=int, default=None)
     p.add_argument("--pairs", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=0.99)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("reproduce", help="full benchmark for a bundled preset")

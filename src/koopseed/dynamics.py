@@ -1,8 +1,8 @@
 """Coupled polynomial dynamical systems and dataset generation.
 
-Provides the coupled Duffing and van der Pol benchmark constructors, a
-classical fixed-step RK4 integrator, and seeded initial-state sampling so
-that every dataset is exactly reproducible.
+Provides the coupled-system description that configs build, a classical
+fixed-step RK4 integrator, seeded initial-state sampling so that every
+dataset is exactly reproducible, and trajectory CSV input and output.
 """
 
 from dataclasses import dataclass, field
@@ -113,21 +113,6 @@ class CoupledSystem:
         return self._full
 
 
-@dataclass
-class Trajectory:
-    """Uniformly sampled states of one trajectory."""
-
-    states: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=float)
-        if self.states.ndim != 2:
-            raise ValueError("states must be a (steps+1, D) array")
-        if not np.isfinite(self.states).all():
-            raise ValueError("trajectory contains non-finite states")
-
-
 def rk4_step(fld, x, dt: float) -> np.ndarray:
     """One classical fourth-order Runge-Kutta step; local error O(dt^5).
 
@@ -162,12 +147,13 @@ def _integrate(system: CoupledSystem, x0s: np.ndarray, steps: int, dt: float) ->
     return out
 
 
-def simulate(system: CoupledSystem, x0, steps: int, dt: float) -> Trajectory:
-    """Integrate the full coupled field from x0 for ``steps`` RK4 steps."""
+def simulate(system: CoupledSystem, x0, steps: int, dt: float) -> np.ndarray:
+    """Integrate the full coupled field from x0 for ``steps`` RK4 steps;
+    returns (steps+1, D)."""
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (system.dim,):
         raise ValueError(f"x0 must have shape ({system.dim},)")
-    return Trajectory(_integrate(system, x0[None], steps, dt)[0], dt)
+    return _integrate(system, x0[None], steps, dt)[0]
 
 
 def simulate_batch(system: CoupledSystem, x0s, steps: int, dt: float) -> np.ndarray:
@@ -198,62 +184,6 @@ def perturb_initial(x_train, radius: float, rng_seed: int) -> np.ndarray:
     return x_train + rng.uniform(-radius, radius, size=x_train.shape)
 
 
-def path_graph_edges(n: int) -> list:
-    """Directed edges of the chain 1-2-...-n, both directions per link."""
-    edges = []
-    for i in range(n - 1):
-        edges.append((i, i + 1))
-        edges.append((i + 1, i))
-    return edges
-
-
-def duffing_field(delta: float, alpha: float, beta: float) -> PolynomialVectorField:
-    """One Duffing oscillator: dx1 = x2, dx2 = -delta*x2 - alpha*x1 - beta*x1^3."""
-    return PolynomialVectorField(
-        2,
-        [
-            [((0, 1), 1.0)],
-            [((0, 1), -delta), ((1, 0), -alpha), ((3, 0), -beta)],
-        ],
-    )
-
-
-def vanderpol_field(mu: float) -> PolynomialVectorField:
-    """One van der Pol oscillator: dx1 = x2, dx2 = mu*(1 - x1^2)*x2 - x1."""
-    return PolynomialVectorField(
-        2,
-        [
-            [((0, 1), 1.0)],
-            [((0, 1), mu), ((2, 1), -mu), ((1, 0), -1.0)],
-        ],
-    )
-
-
-def _position_coupled(subsystems, edges, strength) -> CoupledSystem:
-    layout = VariableLayout(tuple(f.var_count for f in subsystems))
-    couplings = [
-        Coupling(i, j, strength, diffusive_coupling(subsystems[i].var_count, subsystems[j].var_count, drive_coord=1))
-        for (i, j) in edges
-    ]
-    return CoupledSystem(subsystems=list(subsystems), couplings=couplings, layout=layout)
-
-
-def coupled_duffing(deltas, alphas, betas, edges=None, strength: float = 1.0) -> CoupledSystem:
-    """Position-coupled Duffing oscillators; default graph is the 3-node chain."""
-    fields = [duffing_field(d, a, b) for d, a, b in zip(deltas, alphas, betas)]
-    if edges is None:
-        edges = path_graph_edges(len(fields))
-    return _position_coupled(fields, edges, strength)
-
-
-def coupled_vanderpol(mus, edges=None, strength: float = 1.0) -> CoupledSystem:
-    """Position-coupled van der Pol oscillators; default graph is the 3-node chain."""
-    fields = [vanderpol_field(m) for m in mus]
-    if edges is None:
-        edges = path_graph_edges(len(fields))
-    return _position_coupled(fields, edges, strength)
-
-
 def state_column_names(layout: VariableLayout) -> list:
     """Column names x_<subsystem>_<coordinate> (1-based) for trajectory CSVs."""
     names = []
@@ -262,25 +192,27 @@ def state_column_names(layout: VariableLayout) -> list:
     return names
 
 
-def save_trajectory_csv(path, traj: Trajectory, layout: VariableLayout) -> None:
+def save_trajectory_csv(path, states: np.ndarray, dt: float, layout: VariableLayout) -> None:
     """Write ``t`` plus one state column per variable at 17 significant digits."""
     names = state_column_names(layout)
-    if len(names) != traj.states.shape[1]:
+    if len(names) != states.shape[1]:
         raise ValueError("layout does not match trajectory dimension")
     with open(path, "w", newline="\n") as fh:
         fh.write("t," + ",".join(names) + "\n")
-        for k, row in enumerate(traj.states):
-            t = k * traj.dt
+        for k, row in enumerate(states):
+            t = k * dt
             fh.write(format(t, ".17g") + "," + ",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def load_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory CSV written by save_trajectory_csv."""
+def load_trajectory_csv(path) -> tuple:
+    """Read a trajectory CSV written by save_trajectory_csv as (states, dt)."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] < 2:
         raise ValueError(f"{path}: at least two rows are needed to infer dt")
+    if not np.isfinite(data).all():
+        raise ValueError(f"{path}: trajectory contains non-finite values")
     steps = np.diff(data[:, 0])
     dt = float(steps[0])
     if not np.allclose(steps, dt, rtol=1e-12, atol=1e-12):
         raise ValueError(f"{path}: time column is not uniformly spaced")
-    return Trajectory(states=data[:, 1:], dt=dt)
+    return data[:, 1:], dt

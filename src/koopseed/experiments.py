@@ -35,6 +35,9 @@ METHOD_PROPOSED = "proposed"
 METHOD_EDMD = "edmd"
 METHODS = (METHOD_PROPOSED, METHOD_EDMD)
 
+# The spectrum stage counts eigenvalues with |mu| above this magnitude.
+SPECTRUM_THRESHOLD = 0.99
+
 # Stable codes for per-purpose RNG streams; never renumber.
 _STREAMS = {"train-init": 1, "test-perturb": 2}
 
@@ -89,10 +92,10 @@ class ExperimentConfig:
             raise ValueError("test_count must be >= 1")
         if self.checkpoint_stride < 1:
             raise ValueError("checkpoint_stride must be >= 1")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if self.perturb_radius <= 0:
-            raise ValueError("perturb_radius must be positive")
+        if not (np.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError("sigma must be positive and finite")
+        if not (np.isfinite(self.perturb_radius) and self.perturb_radius > 0):
+            raise ValueError("perturb_radius must be positive and finite")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
         if len(self.init_ranges) != self.system.dim:
@@ -138,17 +141,16 @@ def _coupling_from_json(layout: VariableLayout, spec: dict) -> Coupling:
     target = int(spec["target"])
     source = int(spec["source"])
     strength = float(spec.get("strength", 1.0))
+    if spec.get("type") != "diffusive":
+        raise ValueError(f"coupling {target}<-{source}: type {spec.get('type')!r} is not 'diffusive'")
     di = layout.subsystem_dims[target]
     dj = layout.subsystem_dims[source]
-    if spec.get("type") == "diffusive":
-        fld = diffusive_coupling(
-            di,
-            dj,
-            drive_coord=int(spec.get("drive_coord", di - 1)),
-            observed_coord=int(spec.get("observed_coord", 0)),
-        )
-    else:
-        fld = _field_from_json(di + dj, spec["coordinates"])
+    fld = diffusive_coupling(
+        di,
+        dj,
+        drive_coord=int(spec.get("drive_coord", di - 1)),
+        observed_coord=int(spec.get("observed_coord", 0)),
+    )
     return Coupling(target=target, source=source, strength=strength, field=fld)
 
 
@@ -252,7 +254,7 @@ def simulate_training(config: ExperimentConfig, seed_index: int) -> tuple:
         config.init_ranges, derived_seed(config.root_seed, "train-init", seed_index)
     )
     train = simulate(config.system, x0, config.train_steps, config.dt)
-    return x0, train.states[config.train_burn_in :]
+    return x0, train[config.train_burn_in :]
 
 
 def generate_data(config: ExperimentConfig, seed_index: int) -> ExperimentData:
@@ -503,7 +505,6 @@ def run_experiments(
     stages=STAGES,
     out_dir=None,
     write_raw: bool = True,
-    threshold: float = 0.99,
     seed_model: KoopmanModel | None = None,
 ) -> dict:
     """Run the requested stages in one pass per RNG seed.
@@ -513,7 +514,7 @@ def run_experiments(
     those models. Returns {stage: result}: the seed-averaged ErrorSummary for
     "onestep" and "nstep", and for "spectrum" {"pairs", "threshold",
     "counts": {method: [per seed]}, "mean_counts": {method: float}}, where a
-    count is the number of eigenvalues with |mu| > threshold at
+    count is the number of eigenvalues with |mu| > SPECTRUM_THRESHOLD at
     ``spectrum_train_pairs`` pairs. With ``out_dir``, writes per-seed and
     averaged summaries, raw per-point errors (``write_raw``), spectra and
     counts as CSV.
@@ -554,7 +555,7 @@ def run_experiments(
         if "spectrum" in stages:
             for method in METHODS:
                 mu = spectrum_of(models[method][spectrum_pairs])
-                counts[method].append(int((np.abs(mu) > threshold).sum()))
+                counts[method].append(int((np.abs(mu) > SPECTRUM_THRESHOLD).sum()))
                 if out_dir is not None:
                     save_spectrum_csv(os.path.join(out_dir, f"spectrum_seed{s}_{method}.csv"), mu)
 
@@ -566,7 +567,7 @@ def run_experiments(
     if "spectrum" in stages:
         results["spectrum"] = {
             "pairs": spectrum_pairs,
-            "threshold": threshold,
+            "threshold": SPECTRUM_THRESHOLD,
             "counts": counts,
             "mean_counts": {m: float(np.mean(counts[m])) for m in METHODS},
         }
@@ -575,5 +576,5 @@ def run_experiments(
                 fh.write("method,seed,count_above_threshold,threshold,pairs\n")
                 for method in METHODS:
                     for s, c in enumerate(counts[method]):
-                        fh.write(f"{method},{s},{c},{format(threshold, '.17g')},{spectrum_pairs}\n")
+                        fh.write(f"{method},{s},{c},{format(SPECTRUM_THRESHOLD, '.17g')},{spectrum_pairs}\n")
     return results

@@ -11,19 +11,12 @@ from scipy.linalg import expm
 
 from koopseed.assembly import assemble_global
 from koopseed.dictionary import VariableLayout, build_dictionary
-from koopseed.dynamics import coupled_duffing, rk4_step, sample_initial
+from koopseed.dynamics import rk4_step, sample_initial
 from koopseed.edmd import SnapshotPair, batch_edmd_from_psi, online_init, online_update
 from koopseed.experiments import load_config, override_config, run_experiments
 from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
 from koopseed.model import KoopmanModel
 from koopseed.spectral import decompose, prediction_matrix, state_projector
-
-DUFFING_PARAMS = dict(
-    deltas=(0.23, 0.15, 0.11),
-    alphas=(-0.99, -0.59, -0.54),
-    betas=(0.8, 0.86, 0.77),
-)
-
 
 def report(criterion, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -50,8 +43,7 @@ def duffing_snapshot_pairs(count, rng_seed):
     directions unexcited, where ridge and pseudoinverse solutions
     legitimately differ.
     """
-    system = coupled_duffing(**DUFFING_PARAMS)
-    fld = system.full_field()
+    fld = load_config("duffing").system.full_field()
     rng = np.random.default_rng(rng_seed)
     X = rng.uniform(-1.5, 1.5, (count, 6))
     return [SnapshotPair(x, rk4_step(fld, x, 0.01)) for x in X]
@@ -243,7 +235,7 @@ def test_criterion_8_spectrum_counts(preset_name, pair_count):
     """Fewer near-unit-magnitude eigenvalues for the proposed method."""
     cfg = load_config(preset_name)
     assert cfg.spectrum_train_pairs == pair_count
-    result = run_experiments(cfg, ("spectrum",), threshold=0.99)["spectrum"]
+    result = run_experiments(cfg, ("spectrum",))["spectrum"]
     mean_p = result["mean_counts"]["proposed"]
     mean_e = result["mean_counts"]["edmd"]
     assert report(

@@ -42,6 +42,15 @@ def test_simulate_writes_trajectories(tiny_path, tmp_path):
     assert (out / "test_seed0_001.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--tests", "--seed-index"])
+def test_simulate_rejects_negative_counts(tiny_path, tmp_path, monkeypatch, flag):
+    monkeypatch.setattr(dynamics, "rk4_step", None)  # any integration would fail
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match=f"{flag} must be non-negative"):
+        main(["simulate", "--config", tiny_path, "--out", str(out), flag, "-3"])
+    assert not out.exists()
+
+
 def test_simulate_integrates_training_once(tiny_path, tmp_path, monkeypatch):
     step = dynamics.rk4_step
     calls = []
@@ -120,6 +129,13 @@ def test_spectrum_pairs_checked_like_config(tiny_path, tmp_path, pairs):
     with pytest.raises(ValueError, match=r"spectrum_train_pairs must lie in \[1, 260\]"):
         main(["spectrum", "--config", tiny_path, "--out", str(out), "--seeds", "1", "--pairs", pairs])
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_non_finite_sigma_rejected_before_output(tmp_path):
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="sigma"):
+        main(["reproduce", "duffing", "--sigma", "nan", "--seeds", "1", "--out", str(out)])
+    assert not out.exists()
 
 
 def test_unknown_preset_fails_cleanly(tmp_path):

@@ -6,28 +6,19 @@ from koopseed.dynamics import (
     BlowUpError,
     CoupledSystem,
     Coupling,
-    Trajectory,
-    coupled_duffing,
-    coupled_vanderpol,
     diffusive_coupling,
-    duffing_field,
     load_trajectory_csv,
-    path_graph_edges,
     perturb_initial,
     rk4_step,
     sample_initial,
     save_trajectory_csv,
     simulate,
     simulate_batch,
-    vanderpol_field,
 )
+from koopseed.experiments import load_config
 from koopseed.generator import PolynomialVectorField
 
-DUFFING_PARAMS = dict(
-    deltas=(0.23, 0.15, 0.11),
-    alphas=(-0.99, -0.59, -0.54),
-    betas=(0.8, 0.86, 0.77),
-)
+DUFFING = load_config("duffing").system
 
 
 def harmonic_system():
@@ -76,26 +67,23 @@ class TestRK4:
 class TestSimulate:
     def test_lengths_and_initial_state(self):
         sys_ = harmonic_system()
-        traj = simulate(sys_, [1.0, 0.0], 25, 0.01)
-        assert traj.states.shape == (26, 2)
-        assert np.array_equal(traj.states[0], [1.0, 0.0])
-        assert traj.dt == 0.01
+        states = simulate(sys_, [1.0, 0.0], 25, 0.01)
+        assert states.shape == (26, 2)
+        assert np.array_equal(states[0], [1.0, 0.0])
 
     def test_zero_steps(self):
-        traj = simulate(harmonic_system(), [0.5, 0.5], 0, 0.01)
-        assert traj.states.shape == (1, 2)
+        states = simulate(harmonic_system(), [0.5, 0.5], 0, 0.01)
+        assert states.shape == (1, 2)
 
     def test_duffing_bounded(self):
-        system = coupled_duffing(**DUFFING_PARAMS)
         x0 = sample_initial([(-1.5, 1.5)] * 6, 11)
-        traj = simulate(system, x0, 5000, 0.01)
-        assert np.abs(traj.states).max() < 10.0
+        states = simulate(DUFFING, x0, 5000, 0.01)
+        assert np.abs(states).max() < 10.0
 
     def test_vanderpol_bounded_after_relaxation(self):
-        system = coupled_vanderpol((1.32, 1.13, 1.02))
+        system = load_config("vdp").system
         x0 = sample_initial([(-np.pi / 2, np.pi / 2), (-1, 1)] * 3, 12)
-        traj = simulate(system, x0, 6000, 0.01)
-        settled = traj.states[1000:]
+        settled = simulate(system, x0, 6000, 0.01)[1000:]
         assert np.abs(settled).max() < 15.0
         assert np.abs(settled[:, 0]).max() > 0.5  # limit cycle, not a fixed point
 
@@ -108,15 +96,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("batch", [False, True])
     def test_overflowing_field_blows_up_at_its_step(self, batch):
-        system = coupled_duffing(**DUFFING_PARAMS)
         x0 = np.array([1e120, 0.0, 0.5, 0.0, 0.5, 0.0])
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             BlowUpError, match="at step 1$"
         ) as info:
             if batch:
-                simulate_batch(system, x0[None], 10, 0.01)
+                simulate_batch(DUFFING, x0[None], 10, 0.01)
             else:
-                simulate(system, x0, 10, 0.01)
+                simulate(DUFFING, x0, 10, 0.01)
         assert info.value.step == 1
 
     @pytest.mark.parametrize(
@@ -131,26 +118,23 @@ class TestSimulate:
         ids=["one-state", "nan-dt", "negative-dt", "zero-dt", "negative-steps"],
     )
     def test_batch_rejects_bad_input(self, x0s, steps, dt):
-        system = coupled_duffing(**DUFFING_PARAMS)
         with pytest.raises(ValueError):
-            simulate_batch(system, x0s, steps, dt)
+            simulate_batch(DUFFING, x0s, steps, dt)
 
     def test_determinism_bit_identical(self):
-        system = coupled_duffing(**DUFFING_PARAMS)
         x0 = sample_initial([(-1.5, 1.5)] * 6, 13)
-        a = simulate(system, x0, 200, 0.01)
-        b = simulate(system, x0, 200, 0.01)
-        assert np.array_equal(a.states, b.states)
+        a = simulate(DUFFING, x0, 200, 0.01)
+        b = simulate(DUFFING, x0, 200, 0.01)
+        assert np.array_equal(a, b)
 
     def test_batch_matches_requested_shape(self):
-        system = coupled_duffing(**DUFFING_PARAMS)
         x0s = np.stack([sample_initial([(-1.5, 1.5)] * 6, s) for s in range(4)])
-        out = simulate_batch(system, x0s, 50, 0.01)
+        out = simulate_batch(DUFFING, x0s, 50, 0.01)
         assert out.shape == (4, 51, 6)
         # each row equals an independent simulation to high accuracy
         for k in range(4):
-            single = simulate(system, x0s[k], 50, 0.01)
-            assert np.allclose(out[k], single.states, rtol=1e-12, atol=1e-14)
+            single = simulate(DUFFING, x0s[k], 50, 0.01)
+            assert np.allclose(out[k], single, rtol=1e-12, atol=1e-14)
 
 
 class TestSampling:
@@ -190,9 +174,6 @@ class TestSampling:
 
 
 class TestCoupling:
-    def test_path_graph(self):
-        assert path_graph_edges(3) == [(0, 1), (1, 0), (1, 2), (2, 1)]
-
     def test_diffusive_field_values(self):
         g = diffusive_coupling(2, 2, drive_coord=1)
         out = g.evaluate(np.array([0.3, 9.0, 1.1, 9.0]))  # (x_i, x_j) stacked
@@ -209,32 +190,26 @@ class TestCoupling:
             assert fij == pytest.approx(-fji)
 
     def test_full_field_includes_couplings(self):
-        system = coupled_duffing(**DUFFING_PARAMS)
-        fld = system.full_field()
         x = sample_initial([(-1.5, 1.5)] * 6, 5)
-        out = fld.evaluate(x)
+        out = DUFFING.full_field().evaluate(x)
         # first coordinates are plain velocity pass-throughs
         assert out[0] == pytest.approx(x[1])
-        d1 = duffing_field(0.23, -0.99, 0.8).evaluate(x[:2])
+        d1 = DUFFING.subsystems[0].evaluate(x[:2])
         assert out[1] == pytest.approx(d1[1] + (x[2] - x[0]))
         # middle oscillator feels both neighbours
-        d2 = duffing_field(0.15, -0.59, 0.86).evaluate(x[2:4])
+        d2 = DUFFING.subsystems[1].evaluate(x[2:4])
         assert out[3] == pytest.approx(d2[1] + (x[0] - x[2]) + (x[4] - x[2]))
 
     def test_zero_strength_decouples(self):
-        system = coupled_duffing(**DUFFING_PARAMS, strength=0.0)
+        couplings = [Coupling(c.target, c.source, 0.0, c.field) for c in DUFFING.couplings]
+        system = CoupledSystem(DUFFING.subsystems, couplings, DUFFING.layout)
         x = sample_initial([(-1.5, 1.5)] * 6, 6)
         out = system.full_field().evaluate(x)
-        for s in range(3):
-            f = duffing_field(
-                DUFFING_PARAMS["deltas"][s],
-                DUFFING_PARAMS["alphas"][s],
-                DUFFING_PARAMS["betas"][s],
-            )
+        for s, f in enumerate(DUFFING.subsystems):
             assert np.allclose(out[2 * s : 2 * s + 2], f.evaluate(x[2 * s : 2 * s + 2]))
 
     def test_vanderpol_field_values(self):
-        f = vanderpol_field(1.32)
+        f = load_config("vdp").system.subsystems[0]
         x = np.array([0.5, -0.4])
         expect = np.array([-0.4, 1.32 * (1 - 0.25) * (-0.4) - 0.5])
         assert np.allclose(f.evaluate(x), expect)
@@ -248,16 +223,15 @@ class TestCoupling:
 
 class TestTrajectoryCSV:
     def test_round_trip(self, tmp_path):
-        system = coupled_duffing(**DUFFING_PARAMS)
         x0 = sample_initial([(-1.5, 1.5)] * 6, 21)
-        traj = simulate(system, x0, 40, 0.01)
+        states = simulate(DUFFING, x0, 40, 0.01)
         path = tmp_path / "traj.csv"
-        save_trajectory_csv(path, traj, system.layout)
+        save_trajectory_csv(path, states, 0.01, DUFFING.layout)
         header = path.read_text().splitlines()[0]
         assert header == "t,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2"
-        loaded = load_trajectory_csv(path)
-        assert loaded.dt == pytest.approx(0.01)
-        assert np.array_equal(loaded.states, traj.states)  # 17 digits round-trips
+        loaded, dt = load_trajectory_csv(path)
+        assert dt == pytest.approx(0.01)
+        assert np.array_equal(loaded, states)  # 17 digits round-trips
 
     def test_nonuniform_time_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -273,6 +247,9 @@ class TestTrajectoryCSV:
         with pytest.raises(ValueError, match="at least two rows"):
             load_trajectory_csv(path)
 
-    def test_trajectory_validates(self):
-        with pytest.raises(ValueError):
-            Trajectory(states=np.array([[np.inf, 0.0]]), dt=0.1)
+    def test_trajectory_validates(self, tmp_path):
+        for value in ("nan", "inf"):
+            path = tmp_path / f"{value}.csv"
+            path.write_text(f"t,x_1_1\n0,1\n0.01,{value}\n0.02,3\n")
+            with pytest.raises(ValueError, match="non-finite"):
+                load_trajectory_csv(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from koopseed.dictionary import build_dictionary
-from koopseed.dynamics import coupled_duffing, sample_initial, simulate
+from koopseed.dynamics import rk4_step, sample_initial, simulate
 from koopseed.edmd import (
     OnlineState,
     SnapshotPair,
@@ -11,12 +11,9 @@ from koopseed.edmd import (
     online_update,
     online_update_many,
 )
+from koopseed.experiments import load_config
 
-DUFFING_PARAMS = dict(
-    deltas=(0.23, 0.15, 0.11),
-    alphas=(-0.99, -0.59, -0.54),
-    betas=(0.8, 0.86, 0.77),
-)
+DUFFING = load_config("duffing").system
 
 
 def ridge_oracle(dictionary, pairs, sigma, seed_matrix=None):
@@ -35,9 +32,8 @@ def ridge_oracle(dictionary, pairs, sigma, seed_matrix=None):
 
 
 def duffing_pairs(count, seed=0):
-    system = coupled_duffing(**DUFFING_PARAMS)
     x0 = sample_initial([(-1.5, 1.5)] * 6, seed)
-    states = simulate(system, x0, count, 0.01).states
+    states = simulate(DUFFING, x0, count, 0.01)
     return [SnapshotPair(states[k], states[k + 1]) for k in range(count)]
 
 
@@ -205,10 +201,8 @@ class TestOnlineUpdate:
         # independent snapshot pairs keep the Gram matrix well conditioned;
         # a single short trajectory arc would leave it rank deficient, where
         # ridge and pseudoinverse legitimately differ
-        from koopseed.dynamics import duffing_field, rk4_step
-
         d = build_dictionary(2, 2)
-        fld = duffing_field(0.23, -0.99, 0.8)
+        fld = DUFFING.subsystems[0]
         rng = np.random.default_rng(6)
         X = rng.uniform(-1.5, 1.5, (100, 2))
         pairs = [SnapshotPair(x, rk4_step(fld, x, 0.01)) for x in X]

@@ -112,8 +112,22 @@ class TestConfig:
             config_from_dict(tiny_config_dict(nstep_horizon=61))
         with pytest.raises(ValueError):
             config_from_dict(tiny_config_dict(sigma=0.0))
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sigma must be positive and finite"):
+                config_from_dict(tiny_config_dict(sigma=bad))
+            with pytest.raises(ValueError, match="perturb_radius must be positive and finite"):
+                config_from_dict(tiny_config_dict(perturb_radius=bad))
         with pytest.raises(ValueError):
             config_from_dict(tiny_config_dict(init_ranges=[[-1, 1]] * 3))
+
+    @pytest.mark.parametrize("kind", ["difusive", None])
+    def test_coupling_type_must_be_diffusive(self, kind):
+        raw = tiny_config_dict()
+        del raw["couplings"][1]["type"]
+        if kind is not None:
+            raw["couplings"][1]["type"] = kind
+        with pytest.raises(ValueError, match=f"coupling 1<-0: type {kind!r}"):
+            config_from_dict(raw)
 
     def test_override_revalidates(self, tiny_config):
         smaller = override_config(tiny_config, seeds=1)
@@ -275,7 +289,7 @@ class TestExperimentDrivers:
 
     def test_spectrum_export(self, tiny_config, tmp_path):
         out = tmp_path / "spec"
-        result = run_experiments(tiny_config, ("spectrum",), out, threshold=0.99)["spectrum"]
+        result = run_experiments(tiny_config, ("spectrum",), out)["spectrum"]
         n_dic = len(tiny_config.dictionary())
         for method in METHODS:
             assert len(result["counts"][method]) == tiny_config.seeds

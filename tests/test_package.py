@@ -10,7 +10,8 @@ import koopseed
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
-# Names bench/workloads.py looks up or rebinds, by module.
+# Names bench/workloads.py and bench/selftest.py import, look up or rebind,
+# by module.
 WORKLOAD_NAMES = {
     "koopseed.experiments": (
         "online_update_many", "forecast_matrices", "onestep_errors", "nstep_errors",
@@ -18,6 +19,10 @@ WORKLOAD_NAMES = {
     ),
     "koopseed.edmd": ("SnapshotPair", "online_update", "online_init"),
     "koopseed.cli": ("main", "load_config"),
+    "koopseed.dynamics": ("simulate", "simulate_batch"),
+    "koopseed.dictionary": ("Dictionary", "build_dictionary"),
+    "koopseed.model": ("KoopmanModel",),
+    "koopseed.spectral": ("state_projector", "decompose", "prediction_matrix"),
 }
 
 
