@@ -45,8 +45,16 @@ def diffusive_coupling(dim_target: int, dim_source: int, drive_coord: int, obser
 
     The standard position-difference coupling for second-order oscillators
     drives the velocity equation (drive_coord=1) with the position difference
-    (observed_coord=0).
+    (observed_coord=0). ``drive_coord`` must index a target coordinate and
+    ``observed_coord`` a coordinate of both subsystems.
     """
+    if not 0 <= drive_coord < dim_target:
+        raise ValueError(f"drive_coord {drive_coord} is not a coordinate of the {dim_target}-variable target")
+    if not 0 <= observed_coord < min(dim_target, dim_source):
+        raise ValueError(
+            f"observed_coord {observed_coord} is not a coordinate of both the "
+            f"{dim_target}-variable target and the {dim_source}-variable source"
+        )
     nvars = dim_target + dim_source
     components = [[] for _ in range(dim_target)]
     plus = [0] * nvars
@@ -55,6 +63,18 @@ def diffusive_coupling(dim_target: int, dim_source: int, drive_coord: int, obser
     minus[observed_coord] = 1
     components[drive_coord] = [(tuple(plus), 1.0), (tuple(minus), -1.0)]
     return PolynomialVectorField(nvars, components)
+
+
+def coupling_dims(layout: VariableLayout, target: int, source: int) -> tuple:
+    """Block sizes (target, source) of a coupling; both indices must name a
+    subsystem of ``layout`` (negative indices are rejected, not wrapped)."""
+    count = layout.subsystem_count
+    for role, index in (("target", target), ("source", source)):
+        if not 0 <= index < count:
+            raise ValueError(
+                f"coupling {target}<-{source}: {role} {index} is not a subsystem index in 0..{count - 1}"
+            )
+    return layout.subsystem_dims[target], layout.subsystem_dims[source]
 
 
 @dataclass
@@ -73,8 +93,7 @@ class CoupledSystem:
             if f.var_count != self.layout.subsystem_dims[i] or f.component_count != f.var_count:
                 raise ValueError(f"subsystem {i} field does not match its layout block")
         for c in self.couplings:
-            di = self.layout.subsystem_dims[c.target]
-            dj = self.layout.subsystem_dims[c.source]
+            di, dj = coupling_dims(self.layout, c.target, c.source)
             if c.field.var_count != di + dj or c.field.component_count != di:
                 raise ValueError(
                     f"coupling {c.target}<-{c.source}: field must map "

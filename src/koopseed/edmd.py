@@ -2,8 +2,11 @@
 
 Batch EDMD solves the least-squares problem through the pseudoinverse of the
 dictionary Gram matrix. The online path keeps the current estimate and the
-inverse-Gram surrogate, absorbing one pair per rank-one update; seeding it
-with an ODE-derived matrix biases the regression toward the seed.
+inverse-Gram surrogate. ``online_update`` absorbs one pair per rank-one
+update; ``online_update_many`` absorbs arrays of pairs in blocks through the
+Woodbury identity, which equals the repeated rank-one update up to rounding,
+not bit for bit. Seeding either with an ODE-derived matrix biases the
+regression toward the seed.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,11 @@ import numpy as np
 
 from .dictionary import Dictionary
 from .model import KoopmanModel
+
+# Pairs absorbed per Woodbury block in online_update_many. It divides every
+# checkpoint the presets and tests split training at, so a split run gives
+# the same bits as one call.
+_BLOCK_PAIRS = 10
 
 
 @dataclass
@@ -65,8 +73,9 @@ class OnlineState:
     """Running state of the online recursion.
 
     ``pinv`` is the inverse-Gram surrogate (the positive-definite matrix
-    appearing inside the gain), re-symmetrized after every update; ``count``
-    is the number of pairs absorbed so far.
+    appearing inside the gain), re-symmetrized after every ``online_update``
+    and once per block in ``online_update_many``; ``count`` is the number of
+    pairs absorbed so far.
     """
 
     matrix: np.ndarray
@@ -128,12 +137,39 @@ def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary
 def online_update_many(
     state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray
 ) -> OnlineState:
-    """Absorb a block of pairs (rows of precomputed evaluations), in order.
+    """Absorb the rows of precomputed evaluations (m, n) as pairs, in order.
 
-    Equivalent to repeated online_update; used where pairs arrive as arrays.
+    Rows are taken in consecutive blocks of ``_BLOCK_PAIRS``, counted from
+    the start of the call (the last block may be shorter). For a block X, Y
+    of b rows, with PX = pinv X^T and S = I_b + X PX symmetric positive
+    definite, the Woodbury identity gives G = S^-1 PX^T and
+
+        K    <- K + (Y^T - K X^T) G
+        pinv <- pinv - PX G
+
+    with pinv re-symmetrized once per block. The result equals repeated
+    online_update up to rounding, not bit for bit; splitting the rows across
+    calls at multiples of ``_BLOCK_PAIRS`` gives the same bits as one call.
     """
+    n = state.matrix.shape[0]
+    psi_x = np.asarray(psi_x, dtype=float)
+    psi_y = np.asarray(psi_y, dtype=float)
+    if psi_x.ndim != 2 or psi_x.shape[1] != n or psi_y.shape != psi_x.shape:
+        raise ValueError(
+            f"psi_x and psi_y must both have shape (m, {n}); "
+            f"got {psi_x.shape} and {psi_y.shape}"
+        )
+    if not (np.isfinite(psi_x).all() and np.isfinite(psi_y).all()):
+        raise ValueError("snapshot pair evaluations contain non-finite values")
     K = state.matrix.copy()
     P = state.pinv.copy()
-    for k in range(psi_x.shape[0]):
-        _online_step(K, P, psi_x[k], psi_y[k])
+    for start in range(0, psi_x.shape[0], _BLOCK_PAIRS):
+        X = psi_x[start : start + _BLOCK_PAIRS]
+        Y = psi_y[start : start + _BLOCK_PAIRS]
+        PX = P @ X.T
+        S = np.eye(X.shape[0]) + X @ PX
+        G = np.linalg.solve(S, PX.T)
+        K += (Y.T - K @ X.T) @ G
+        P -= PX @ G
+        np.copyto(P, 0.5 * (P + P.T))
     return OnlineState(matrix=K, pinv=P, count=state.count + psi_x.shape[0])

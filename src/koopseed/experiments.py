@@ -20,6 +20,7 @@ from .dynamics import (
     CoupledSystem,
     Coupling,
     VariableLayout,
+    coupling_dims,
     diffusive_coupling,
     perturb_initial,
     sample_initial,
@@ -143,14 +144,16 @@ def _coupling_from_json(layout: VariableLayout, spec: dict) -> Coupling:
     strength = float(spec.get("strength", 1.0))
     if spec.get("type") != "diffusive":
         raise ValueError(f"coupling {target}<-{source}: type {spec.get('type')!r} is not 'diffusive'")
-    di = layout.subsystem_dims[target]
-    dj = layout.subsystem_dims[source]
-    fld = diffusive_coupling(
-        di,
-        dj,
-        drive_coord=int(spec.get("drive_coord", di - 1)),
-        observed_coord=int(spec.get("observed_coord", 0)),
-    )
+    di, dj = coupling_dims(layout, target, source)
+    try:
+        fld = diffusive_coupling(
+            di,
+            dj,
+            drive_coord=int(spec.get("drive_coord", di - 1)),
+            observed_coord=int(spec.get("observed_coord", 0)),
+        )
+    except ValueError as exc:
+        raise ValueError(f"coupling {target}<-{source}: {exc}") from exc
     return Coupling(target=target, source=source, strength=strength, field=fld)
 
 

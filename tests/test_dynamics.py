@@ -220,6 +220,14 @@ class TestCoupling:
         with pytest.raises(ValueError):
             CoupledSystem(subsystems=[f, f], couplings=[bad], layout=VariableLayout((2, 2)))
 
+    def test_coupling_indices_checked_for_python_callers(self):
+        f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
+        wrapped = Coupling(-1, 0, 1.0, diffusive_coupling(2, 2, drive_coord=1))
+        with pytest.raises(ValueError, match="coupling -1<-0: target -1"):
+            CoupledSystem(subsystems=[f, f], couplings=[wrapped], layout=VariableLayout((2, 2)))
+        with pytest.raises(ValueError, match="observed_coord 2"):
+            diffusive_coupling(3, 2, drive_coord=1, observed_coord=2)
+
 
 class TestTrajectoryCSV:
     def test_round_trip(self, tmp_path):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from koopseed.dictionary import build_dictionary
 from koopseed.dynamics import rk4_step, sample_initial, simulate
 from koopseed.edmd import (
+    _BLOCK_PAIRS,
     OnlineState,
     SnapshotPair,
     batch_edmd_from_psi,
@@ -212,6 +215,7 @@ class TestOnlineUpdate:
         assert rel <= 1e-5
 
     def test_update_many_equals_repeated_single(self):
+        # blocks reorder the arithmetic, so the chains agree up to rounding
         d = build_dictionary(2, 2)
         pairs = [SnapshotPair(p.x[:2], p.y[:2]) for p in duffing_pairs(20, seed=7)]
         one_by_one = run_online(d, pairs, 1.0)
@@ -220,5 +224,56 @@ class TestOnlineUpdate:
         bulk = online_update_many(
             online_init(None, 1.0, dictionary=d), d.evaluate(X), d.evaluate(Y)
         )
-        assert np.array_equal(one_by_one.matrix, bulk.matrix)
+        rel = np.linalg.norm(bulk.matrix - one_by_one.matrix) / np.linalg.norm(one_by_one.matrix)
+        assert rel <= 1e-12
         assert one_by_one.count == bulk.count == 20
+
+    def test_update_many_split_at_block_multiples_is_bit_exact(self):
+        d = build_dictionary(2, 3)
+        states = np.stack([p.x[:2] for p in duffing_pairs(58, seed=8)])
+        psi = d.evaluate(states)
+        start = online_init(None, 5.0, dictionary=d)
+        whole = online_update_many(start, psi[:-1], psi[1:])
+        state = start
+        cuts = [0, _BLOCK_PAIRS, 4 * _BLOCK_PAIRS, len(psi) - 1]
+        for lo, hi in zip(cuts, cuts[1:]):
+            state = online_update_many(state, psi[lo:hi], psi[lo + 1 : hi + 1])
+        assert np.array_equal(state.matrix, whole.matrix)
+        assert np.array_equal(state.pinv, whole.pinv)
+        assert state.count == whole.count == 57
+
+    def test_update_many_rejects_mismatched_row_counts(self):
+        d = build_dictionary(2, 2)
+        psi = d.evaluate(np.random.default_rng(0).uniform(-1, 1, (8, 2)))
+        state = online_init(None, 1.0, dictionary=d)
+        with pytest.raises(ValueError, match="shape"):
+            online_update_many(state, psi[:5], psi[1:8])
+
+    def test_update_many_rejects_non_finite_rows(self):
+        d = build_dictionary(2, 2)
+        psi = d.evaluate(np.random.default_rng(0).uniform(-1, 1, (6, 2)))
+        psi[3, 2] = np.nan
+        state = online_init(None, 1.0, dictionary=d)
+        with pytest.raises(ValueError, match="non-finite"):
+            online_update_many(state, psi[:-1], psi[1:])
+
+
+@given(st.data(), st.floats(-2.0, 3.0), st.integers(1, 75))
+def test_update_many_matches_ridge_oracle_over_any_split(data, log_sigma, count):
+    # independent random pairs, a random seed matrix and a random split into
+    # calls, so blocks end mid-call and calls end mid-block
+    d = build_dictionary(2, 3)
+    n = len(d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = d.evaluate(rng.uniform(-1.5, 1.5, (count, 2)))
+    Y = d.evaluate(rng.uniform(-1.5, 1.5, (count, 2)))
+    seed = 0.1 * rng.standard_normal((n, n))
+    sigma = 10.0**log_sigma
+    cuts = sorted(data.draw(st.lists(st.integers(0, count), max_size=5)))
+    state = online_init(seed, sigma)
+    for lo, hi in zip([0] + cuts, cuts + [count]):
+        state = online_update_many(state, X[lo:hi], Y[lo:hi])
+    oracle = (seed / sigma + Y.T @ X) @ np.linalg.inv(X.T @ X + np.eye(n) / sigma)
+    rel = np.linalg.norm(state.matrix - oracle) / np.linalg.norm(oracle)
+    assert rel <= 1e-8, (sigma, count, cuts, rel)
+    assert state.count == count

@@ -129,6 +129,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"coupling 1<-0: type {kind!r}"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("observed_coord", -3), ("target", -1), ("target", 5), ("source", 3), ("drive_coord", 7)],
+    )
+    def test_coupling_indices_are_range_checked(self, key, value):
+        raw = tiny_config_dict()
+        raw["couplings"][1][key] = value
+        target, source = raw["couplings"][1]["target"], raw["couplings"][1]["source"]
+        with pytest.raises(ValueError, match=f"coupling {target}<-{source}: {key} {value} is not"):
+            config_from_dict(raw)
+
     def test_override_revalidates(self, tiny_config):
         smaller = override_config(tiny_config, seeds=1)
         assert smaller.seeds == 1
