@@ -331,8 +331,9 @@ def onestep_errors(forecast: np.ndarray, psi_test: np.ndarray, test_states: np.n
     count, length, n_dic = psi_test.shape
     # Multiply all states and drop the last of each trajectory from the small
     # product: slicing psi_test first would copy the whole tensor every call.
-    pred = (psi_test.reshape(-1, n_dic) @ forecast.T).reshape(count, length, -1)[:, :-1]
-    return relative_l2(test_states[:, 1:, :], pred)
+    # forecast @ psi.T leaves one contiguous plane per state coordinate.
+    pred = (forecast @ psi_test.reshape(-1, n_dic).T).reshape(-1, count, length)[:, :, :-1]
+    return relative_l2(test_states[:, 1:, :], np.moveaxis(pred, 0, -1))
 
 
 def nstep_errors(forecasts: dict, psi0: np.ndarray, test_states: np.ndarray, horizon: int) -> np.ndarray:

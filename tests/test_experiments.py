@@ -13,6 +13,7 @@ from koopseed.experiments import (
     derived_seed,
     generate_data,
     load_config,
+    onestep_errors,
     override_config,
     run_experiments,
     save_spectrum_csv,
@@ -21,7 +22,7 @@ from koopseed.experiments import (
     train_checkpoint_models,
 )
 from koopseed.model import KoopmanModel, load_matrix_csv
-from koopseed.spectral import relative_l2
+from koopseed.spectral import forecast_matrices, relative_l2
 
 
 def tiny_config_dict(**overrides):
@@ -358,3 +359,30 @@ class TestExperimentDrivers:
         for key in summary.keys():
             counts = {m: summary.get(key, m).count for m in METHODS}
             assert len(set(counts.values())) == 1
+
+
+class TestOnestepErrors:
+    def test_equals_row_layout_formula(self, tiny_config):
+        # plane-layout scoring gives the bits of the row-layout formula
+        data = generate_data(tiny_config, 0)
+        models = train_checkpoint_models(tiny_config, data, tiny_config.checkpoints())
+        psi = tiny_config.dictionary().evaluate(data.test_states)
+        count, length, n_dic = psi.shape
+        truth = data.test_states[:, 1:]
+        for method in METHODS:
+            for model in models[method].values():
+                forecast = forecast_matrices(model, [1])[0][1]
+                pred = (psi.reshape(-1, n_dic) @ forecast.T).reshape(count, length, -1)[:, :-1]
+                expected = np.linalg.norm(pred - truth, axis=-1) / np.linalg.norm(truth, axis=-1)
+                got = onestep_errors(forecast, psi, data.test_states)
+                assert got.shape == (count, length - 1)
+                assert np.array_equal(got, expected)
+
+    def test_zero_norm_truth_rejected(self, tiny_config):
+        data = generate_data(tiny_config, 0)
+        states = data.test_states.copy()
+        states[1, 5] = 0.0
+        psi = tiny_config.dictionary().evaluate(states)
+        forecast = np.zeros((states.shape[-1], psi.shape[-1]))
+        with pytest.raises(ValueError, match="zero-norm"):
+            onestep_errors(forecast, psi, states)

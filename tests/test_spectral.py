@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from koopseed.dictionary import build_dictionary
 from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
 from koopseed.model import KoopmanModel
 from koopseed.spectral import (
+    SPECTRAL_TOL,
     DefectiveDecompositionError,
     decompose,
     forecast_matrices,
@@ -14,6 +17,10 @@ from koopseed.spectral import (
     relative_l2,
     state_projector,
 )
+
+
+# a 2x2 Jordan block on build_dictionary(1, 2): forecasts take matrix powers
+JORDAN_K = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 0.5]])
 
 
 def random_diagonalizable(n, rng, spectral_radius=1.0):
@@ -88,6 +95,49 @@ class TestDecompose:
         d = build_dictionary(1, 1)
         with pytest.raises(ValueError):
             decompose(KoopmanModel(d, np.array([[np.nan, 0.0], [0.0, 1.0]])))
+
+    @given(st.integers(0, 2**32 - 1), st.floats(7.0, 12.0), st.sampled_from([(1, 2), (2, 2), (2, 3)]))
+    def test_defective_flag_equals_its_definition(self, seed, log_cond, shape):
+        # K = V diag(lam) V^-1 with unit-norm eigenvectors and cond2(V) close
+        # to 10**log_cond, which puts the Frobenius certificate below, inside
+        # and above the band where the SVD decides. Two eigenvalues
+        # 2e-log_cond apart share a unit off-diagonal; K is triangular up to
+        # a permutation, so eig returns its eigenvectors at that conditioning.
+        d = build_dictionary(*shape)
+        N = len(d)
+        rng = np.random.default_rng(seed)
+        lam = rng.uniform(-1.0, 1.0, N)
+        lam[1] = lam[0] + 2.0 * 10.0**-log_cond
+        K = np.diag(lam)
+        K[0, 1] = 1.0
+        perm = rng.permutation(N)
+        K = K[np.ix_(perm, perm)]
+        with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
+            dec = decompose(KoopmanModel(d, K))
+        eps = np.finfo(float).eps
+        definition = (
+            not np.isfinite(dec.residual)
+            or dec.residual > SPECTRAL_TOL
+            or np.linalg.cond(dec.right_vectors) * eps > SPECTRAL_TOL
+        )
+        assert dec.defective == definition
+        certificate = eps * np.sqrt(N) * np.linalg.norm(dec.left_vectors)
+        assert cond.called == (SPECTRAL_TOL / 2 < certificate <= N * SPECTRAL_TOL)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.sampled_from([(1, 3), (2, 2), (2, 3)]))
+    def test_jordan_blocks_are_flagged(self, seed, size, shape):
+        # an exact Jordan block, hidden by a permutation and a power-of-two
+        # diagonal similarity, both exact in floating point
+        d = build_dictionary(*shape)
+        N = len(d)
+        rng = np.random.default_rng(seed)
+        J = np.diag(rng.uniform(-1.0, 1.0, N))
+        J[:size, :size] = rng.uniform(-1.0, 1.0) * np.eye(size)
+        J[range(size - 1), range(1, size)] = rng.uniform(0.5, 2.0, size - 1)
+        scale = 2.0 ** rng.integers(-3, 4, N)
+        perm = rng.permutation(N)
+        K = (scale[:, None] * J / scale)[np.ix_(perm, perm)]
+        assert decompose(KoopmanModel(d, K)).defective
 
 
 class TestPredict:
@@ -212,6 +262,43 @@ class TestForecastMatrices:
             rel = np.linalg.norm(mats[n] - oracle[n]) / max(1.0, np.linalg.norm(oracle[n]))
             assert rel <= 1e-6
 
+    @given(st.integers(0, 2**32 - 1))
+    def test_stacked_horizons_equal_single_products(self, seed):
+        d = build_dictionary(2, 3)
+        rng = np.random.default_rng(seed)
+        model = KoopmanModel(d, random_diagonalizable(len(d), rng))
+        horizons = [7, 0, 100, 3, 7, 1, 2, 3]
+        mats, path = forecast_matrices(model, horizons)
+        assert path == "spectral"
+        assert sorted(mats) == sorted(set(horizons))
+        dec = decompose(model)
+        for n in horizons:
+            assert np.array_equal(mats[n], prediction_matrix(dec, n))
+
+    def test_zero_and_empty_horizons(self):
+        d = build_dictionary(1, 2)
+        for K, expected in ((np.diag([1.0, 0.5, 0.25]), "spectral"), (JORDAN_K, "matrix-power")):
+            mats, path = forecast_matrices(KoopmanModel(d, K), [0])
+            assert path == expected
+            assert np.allclose(mats[0], state_projector(d), rtol=0.0, atol=1e-14)
+            assert forecast_matrices(KoopmanModel(d, K), [])[0] == {}
+
+    @pytest.mark.parametrize("bad", [-1, 2.7])
+    def test_invalid_horizon_rejected_on_spectral_path(self, bad):
+        # K^-1 exists here, so a negative horizon used to return 2.0 at x
+        model = KoopmanModel(build_dictionary(1, 2), np.diag([1.0, 0.5, 0.25]))
+        assert forecast_matrices(model, [1])[1] == "spectral"
+        with pytest.raises(ValueError, match="horizon"):
+            forecast_matrices(model, [1, bad])
+
+    @pytest.mark.parametrize("bad", [-1, 2.7])
+    def test_invalid_horizon_rejected_on_matrix_power_path(self, bad):
+        # a Jordan K takes matrix powers, where a negative horizon gave K^0
+        model = KoopmanModel(build_dictionary(1, 2), JORDAN_K)
+        assert forecast_matrices(model, [1])[1] == "matrix-power"
+        with pytest.raises(ValueError, match="horizon"):
+            forecast_matrices(model, [1, bad])
+
 
 class TestRelativeL2:
     def test_examples(self):
@@ -234,3 +321,21 @@ class TestRelativeL2:
     def test_batch_zero_norm_rejected(self):
         with pytest.raises(ValueError):
             relative_l2(np.array([[1.0, 0.0], [0.0, 0.0]]), np.ones((2, 2)))
+
+    def test_mismatched_shapes_rejected(self):
+        with pytest.raises(ValueError):
+            relative_l2([1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+
+    def test_matches_numpy_norm(self):
+        # bit for bit below 8 coordinates, where numpy sums in order too;
+        # within rounding at 10, where numpy sums pairwise
+        rng = np.random.default_rng(10)
+        for dim in (1, 2, 4, 6, 7, 10):
+            true = rng.standard_normal((200, dim))
+            pred = true + rng.normal(0, 0.1, true.shape)
+            got = relative_l2(true, pred)
+            ref = np.linalg.norm(pred - true, axis=-1) / np.linalg.norm(true, axis=-1)
+            if dim < 8:
+                assert np.array_equal(got, ref)
+            else:
+                assert np.abs(got / ref - 1.0).max() <= 1e-15
