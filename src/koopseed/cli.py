@@ -1,6 +1,7 @@
 """Command-line interface for deriving, training, and benchmarking."""
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -8,6 +9,7 @@ from .dynamics import load_trajectory_csv, save_trajectory_csv
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .experiments import (
     METHODS,
+    ExperimentConfig,
     bundled_preset_names,
     derive_seed,
     derive_seed_model,
@@ -20,12 +22,12 @@ from .experiments import (
 from .model import KoopmanModel, save_matrix_csv
 
 
-def _add_common(parser, config=True):
-    if config:
-        parser.add_argument("--config", required=True, help="config file path or bundled preset name")
+def _add_common(parser, degree=True, sigma=True):
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--degree", type=int, default=None, help="override dictionary degree")
-    parser.add_argument("--sigma", type=float, default=None, help="override online regularization sigma")
+    if degree:
+        parser.add_argument("--degree", type=int, default=None, help="override dictionary degree")
+    if sigma:
+        parser.add_argument("--sigma", type=float, default=None, help="override online regularization sigma")
 
 
 def _add_experiment_flags(parser):
@@ -36,15 +38,10 @@ def _add_experiment_flags(parser):
 
 
 def _load(args):
-    config = load_config(args.config)
-    return override_config(
-        config,
-        degree=getattr(args, "degree", None),
-        sigma=getattr(args, "sigma", None),
-        seeds=getattr(args, "seeds", None),
-        checkpoint_stride=getattr(args, "checkpoint_stride", None),
-        max_pairs=getattr(args, "max_pairs", None),
-    )
+    """args.config with every parsed value named after a config field applied."""
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    overrides = {k: v for k, v in vars(args).items() if k in fields}
+    return override_config(load_config(args.config), **overrides)
 
 
 def _cmd_derive(args):
@@ -131,8 +128,7 @@ def _cmd_eval_onestep(args):
 
 
 def _cmd_eval_nstep(args):
-    config = override_config(_load(args), nstep_train_pairs=args.pairs, nstep_horizon=args.horizon)
-    summary = run_experiments(config, ("nstep",), args.out, not args.no_raw)["nstep"]
+    summary = run_experiments(_load(args), ("nstep",), args.out, not args.no_raw)["nstep"]
     _print_summary(summary, "nstep")
 
 
@@ -145,17 +141,15 @@ def _print_spectrum(result):
 
 
 def _cmd_spectrum(args):
-    config = override_config(_load(args), spectrum_train_pairs=args.pairs)
-    _print_spectrum(run_experiments(config, ("spectrum",), args.out)["spectrum"])
+    _print_spectrum(run_experiments(_load(args), ("spectrum",), args.out)["spectrum"])
 
 
 def _cmd_reproduce(args):
-    args.config = args.preset
     config = _load(args)
     os.makedirs(args.out, exist_ok=True)
-    seed = derive_seed(config, os.path.join(args.out, "seed_matrix.csv"))
+    derive_seed(config, os.path.join(args.out, "seed_matrix.csv"))
     print(f"reproduce {config.name}: seed matrix written")
-    results = run_experiments(config, out_dir=args.out, write_raw=not args.no_raw, seed_model=seed)
+    results = run_experiments(config, out_dir=args.out, write_raw=not args.no_raw)
     _print_summary(results["onestep"], "onestep")
     _print_summary(results["nstep"], "nstep")
     _print_spectrum(results["spectrum"])
@@ -168,50 +162,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Koopman matrices for coupled systems: ODE-derived seeds refined online, benchmarked against batch EDMD.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", required=True, help="config file path or bundled preset name")
 
-    p = sub.add_parser("derive", help="write the ODE-derived global seed matrix")
-    _add_common(p)
+    p = sub.add_parser("derive", parents=[config], help="write the ODE-derived global seed matrix")
+    _add_common(p, sigma=False)
     p.set_defaults(func=_cmd_derive)
 
-    p = sub.add_parser("simulate", help="write training (and optionally test) trajectory CSVs")
-    _add_common(p)
+    p = sub.add_parser("simulate", parents=[config], help="write training (and optionally test) trajectory CSVs")
+    _add_common(p, degree=False, sigma=False)
     p.add_argument("--seed-index", type=int, default=0)
     p.add_argument("--tests", type=int, default=0, help="also write this many test trajectories")
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("train-online", help="online-refine the seed on a trajectory CSV")
+    p = sub.add_parser("train-online", parents=[config], help="online-refine the seed on a trajectory CSV")
     _add_common(p)
     p.add_argument("--traj", required=True)
     p.add_argument("--pairs", type=int, default=None)
     p.set_defaults(func=_cmd_train_online)
 
-    p = sub.add_parser("train-batch", help="batch EDMD on a trajectory CSV")
-    _add_common(p)
+    p = sub.add_parser("train-batch", parents=[config], help="batch EDMD on a trajectory CSV")
+    _add_common(p, sigma=False)
     p.add_argument("--traj", required=True)
     p.add_argument("--pairs", type=int, default=None)
     p.set_defaults(func=_cmd_train_batch)
 
-    p = sub.add_parser("eval-onestep", help="one-step error vs training size, both methods")
+    p = sub.add_parser("eval-onestep", parents=[config], help="one-step error vs training size, both methods")
     _add_common(p)
     _add_experiment_flags(p)
     p.set_defaults(func=_cmd_eval_onestep)
 
-    p = sub.add_parser("eval-nstep", help="n-step forecast error, both methods")
+    p = sub.add_parser("eval-nstep", parents=[config], help="n-step forecast error, both methods")
     _add_common(p)
     _add_experiment_flags(p)
-    p.add_argument("--pairs", type=int, default=None, help="training pairs for both methods")
-    p.add_argument("--horizon", type=int, default=None)
+    p.add_argument("--pairs", dest="nstep_train_pairs", type=int, default=None, help="training pairs for both methods")
+    p.add_argument("--horizon", dest="nstep_horizon", type=int, default=None)
     p.set_defaults(func=_cmd_eval_nstep)
 
-    p = sub.add_parser("spectrum", help="export eigenvalue spectra of both methods")
+    p = sub.add_parser("spectrum", parents=[config], help="export eigenvalue spectra of both methods")
     _add_common(p)
     p.add_argument("--seeds", type=int, default=None)
-    p.add_argument("--pairs", type=int, default=None)
+    p.add_argument("--pairs", dest="spectrum_train_pairs", type=int, default=None)
     p.set_defaults(func=_cmd_spectrum)
 
     p = sub.add_parser("reproduce", help="full benchmark for a bundled preset")
-    p.add_argument("preset", choices=bundled_preset_names())
-    _add_common(p, config=False)
+    p.add_argument("config", metavar="preset", choices=bundled_preset_names())
+    _add_common(p)
     _add_experiment_flags(p)
     p.set_defaults(func=_cmd_reproduce)
 

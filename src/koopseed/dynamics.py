@@ -11,6 +11,7 @@ import numpy as np
 
 from .dictionary import VariableLayout
 from .generator import PolynomialVectorField
+from .model import write_csv
 
 
 class BlowUpError(RuntimeError):
@@ -212,15 +213,12 @@ def state_column_names(layout: VariableLayout) -> list:
 
 
 def save_trajectory_csv(path, states: np.ndarray, dt: float, layout: VariableLayout) -> None:
-    """Write ``t`` plus one state column per variable at 17 significant digits."""
+    """Write ``t`` plus one state column per variable, through write_csv."""
     names = state_column_names(layout)
     if len(names) != states.shape[1]:
         raise ValueError("layout does not match trajectory dimension")
-    with open(path, "w", newline="\n") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        for k, row in enumerate(states):
-            t = k * dt
-            fh.write(format(t, ".17g") + "," + ",".join(format(v, ".17g") for v in row) + "\n")
+    rows = ([k * dt, *row] for k, row in enumerate(states.tolist()))
+    write_csv(path, "t," + ",".join(names), rows)
 
 
 def load_trajectory_csv(path) -> tuple:

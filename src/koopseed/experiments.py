@@ -7,6 +7,7 @@ l2 metric. Everything is driven by an ExperimentConfig and emits plain CSV.
 """
 
 import dataclasses
+import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -29,7 +30,7 @@ from .dynamics import (
 )
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .generator import PolynomialVectorField, build_generator, local_koopman
-from .model import KoopmanModel, save_matrix_csv
+from .model import KoopmanModel, save_matrix_csv, write_csv
 from .spectral import eigen_order, forecast_matrices, relative_l2
 
 METHOD_PROPOSED = "proposed"
@@ -196,7 +197,7 @@ def bundled_preset_names() -> list:
 
 def load_config(name_or_path: str) -> ExperimentConfig:
     """Load a config from a JSON file path or a bundled preset name."""
-    if os.path.exists(name_or_path):
+    if os.path.isfile(name_or_path):
         with open(name_or_path) as fh:
             return config_from_dict(json.load(fh))
     candidate = resources.files("koopseed").joinpath("presets", name_or_path + ".preset")
@@ -286,12 +287,7 @@ def generate_data(config: ExperimentConfig, seed_index: int) -> ExperimentData:
     )
 
 
-def train_checkpoint_models(
-    config: ExperimentConfig,
-    data: ExperimentData,
-    checkpoints,
-    seed_model: KoopmanModel | None = None,
-) -> dict:
+def train_checkpoint_models(config: ExperimentConfig, data: ExperimentData, checkpoints) -> dict:
     """Train both methods at every checkpoint pair count.
 
     The proposed method streams pairs through the online recursion starting
@@ -299,8 +295,6 @@ def train_checkpoint_models(
     pairs. Returns {method: {pair_count: KoopmanModel}}.
     """
     dictionary = config.dictionary()
-    if seed_model is None:
-        seed_model = derive_seed_model(config)
     psi = dictionary.evaluate(data.train_states)
     psi_x, psi_y = psi[:-1], psi[1:]
 
@@ -309,7 +303,7 @@ def train_checkpoint_models(
         raise ValueError("checkpoint exceeds available training pairs")
 
     models = {METHOD_PROPOSED: {}, METHOD_EDMD: {}}
-    state = online_init(seed_model, config.sigma)
+    state = online_init(derive_seed_model(config), config.sigma)
     done = 0
     for m in checkpoints:
         state = online_update_many(state, psi_x[done:m], psi_y[done:m])
@@ -386,13 +380,8 @@ class ErrorSummary:
         return seen
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("checkpoint_or_n,method,mean,std,count\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.key},{r.method},{format(r.mean, '.17g')},"
-                    f"{format(r.std, '.17g')},{r.count}\n"
-                )
+        rows = ((r.key, r.method, r.mean, r.std, r.count) for r in self.rows)
+        write_csv(path, "checkpoint_or_n,method,mean,std,count", rows)
 
 
 def _summary_from_errors(per_key_errors: dict) -> ErrorSummary:
@@ -444,13 +433,7 @@ STAGES = ("onestep", "nstep", "spectrum")
 
 def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
     """Eigenvalues as CSV with columns re, im, abs."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("re,im,abs\n")
-        for mu in eigenvalues:
-            fh.write(
-                f"{format(mu.real, '.17g')},{format(mu.imag, '.17g')},"
-                f"{format(abs(mu), '.17g')}\n"
-            )
+    write_csv(path, "re,im,abs", ((mu.real, mu.imag, abs(mu)) for mu in eigenvalues))
 
 
 def _onestep_scores(config, dictionary, s, data, models, notes) -> dict:
@@ -498,10 +481,9 @@ def _write_raw(path, header: str, per_key: dict, method: str) -> None:
     shape = per_key[keys[0]][method].shape
     index = np.indices(shape).reshape(len(shape), -1)
     index[1:] += 1
-    errors = np.concatenate([per_key[k][method].ravel() for k in keys])
-    data = np.column_stack([np.repeat(keys, index.shape[1]), *np.tile(index, len(keys)), errors])
-    fmt = ["%d"] * (data.shape[1] - 1) + ["%.17g"]
-    np.savetxt(path, data, fmt=fmt, delimiter=",", header=header, comments="")
+    columns = index.tolist()
+    rows = (zip(itertools.repeat(k), *columns, per_key[k][method].ravel().tolist()) for k in keys)
+    write_csv(path, header, itertools.chain.from_iterable(rows))
 
 
 def run_experiments(
@@ -509,7 +491,6 @@ def run_experiments(
     stages=STAGES,
     out_dir=None,
     write_raw: bool = True,
-    seed_model: KoopmanModel | None = None,
 ) -> dict:
     """Run the requested stages in one pass per RNG seed.
 
@@ -525,8 +506,6 @@ def run_experiments(
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
-    if seed_model is None:
-        seed_model = derive_seed_model(config)
     dictionary = config.dictionary()
     spectrum_pairs = config.spectrum_train_pairs
     needed = {
@@ -542,7 +521,7 @@ def run_experiments(
 
     for s in range(config.seeds):
         data = generate_data(config, s)
-        models = train_checkpoint_models(config, data, pairs, seed_model)
+        models = train_checkpoint_models(config, data, pairs)
         with np.errstate(over="ignore", invalid="ignore"):  # forecast blow-ups are data
             for stage in scored:
                 score, header = _SCORED[stage]
@@ -576,9 +555,11 @@ def run_experiments(
             "mean_counts": {m: float(np.mean(counts[m])) for m in METHODS},
         }
         if out_dir is not None:
-            with open(os.path.join(out_dir, "spectrum_counts.csv"), "w", newline="\n") as fh:
-                fh.write("method,seed,count_above_threshold,threshold,pairs\n")
-                for method in METHODS:
-                    for s, c in enumerate(counts[method]):
-                        fh.write(f"{method},{s},{c},{format(SPECTRUM_THRESHOLD, '.17g')},{spectrum_pairs}\n")
+            rows = (
+                (method, s, c, SPECTRUM_THRESHOLD, spectrum_pairs)
+                for method in METHODS
+                for s, c in enumerate(counts[method])
+            )
+            header = "method,seed,count_above_threshold,threshold,pairs"
+            write_csv(os.path.join(out_dir, "spectrum_counts.csv"), header, rows)
     return results

@@ -25,12 +25,31 @@ class KoopmanModel:
             )
 
 
+def write_csv(path, header: str, rows) -> None:
+    """Write a header line, then one comma-separated line per row.
+
+    A column whose first value is a float is written with 17 significant
+    digits, which read back as the same float64 bits (any NaN as "nan");
+    any other column is written with ``%s``. Every CSV the package writes
+    goes through here.
+    """
+    rows = iter(rows)
+    with open(path, "w", newline="\n") as fh:
+        fh.write(header + "\n")
+        first = next(rows, None)
+        if first is None:
+            return
+        line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in first) + "\n"
+        fh.write(line % tuple(first))
+        fh.writelines(line % tuple(row) for row in rows)
+
+
 def save_matrix_csv(path, model: KoopmanModel, extra_meta: dict | None = None) -> None:
     """Write a model as dense CSV rows under a one-line JSON metadata header.
 
     The header records var_count/max_degree, from which the dictionary is
-    reconstructed exactly (ordering is deterministic). Entries use 17
-    significant digits so the round trip is bit-exact.
+    reconstructed exactly (ordering is deterministic). Entries are written
+    by write_csv, so the round trip is bit-exact.
     """
     meta = {
         "var_count": model.dictionary.var_count,
@@ -39,10 +58,7 @@ def save_matrix_csv(path, model: KoopmanModel, extra_meta: dict | None = None) -
     }
     if extra_meta:
         meta.update(extra_meta)
-    with open(path, "w", newline="\n") as fh:
-        fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")
-        for row in model.matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, "# " + json.dumps(meta, sort_keys=True), model.matrix.tolist())
 
 
 def load_matrix_csv(path) -> KoopmanModel:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from koopseed import experiments
 from koopseed.dictionary import build_dictionary, embed_indices
 from koopseed.experiments import (
     METHODS,
@@ -104,6 +105,14 @@ class TestConfig:
         with pytest.raises(FileNotFoundError):
             load_config("no-such-preset")
 
+    def test_directory_does_not_shadow_preset(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "duffing").mkdir()
+        (tmp_path / "no-such-preset").mkdir()
+        assert load_config("duffing").name == "duffing"
+        with pytest.raises(FileNotFoundError):
+            load_config("no-such-preset")
+
     def test_invariant_violations(self):
         with pytest.raises(ValueError):
             config_from_dict(tiny_config_dict(max_pairs=10_000))
@@ -151,6 +160,8 @@ class TestConfig:
         assert tiny_config.checkpoints() == [130, 260]
         capped = override_config(tiny_config, max_pairs=140)
         assert capped.checkpoints() == [130]
+        below_stride = override_config(tiny_config, max_pairs=100)
+        assert below_stride.checkpoints() == [100]
 
     def test_derived_seed_is_stable(self):
         a = derived_seed(7, "train-init", 0)
@@ -330,6 +341,26 @@ class TestExperimentDrivers:
         assert files_a == sorted(p.name for p in out_b.iterdir())
         for name in files_a:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+    def test_notes_name_the_matrix_power_path(self, tiny_config, tmp_path, monkeypatch):
+        cfg = override_config(tiny_config, seeds=1)
+        run_experiments(cfg, ("onestep", "nstep"), tmp_path / "spectral")
+        assert not any(p.suffix == ".txt" for p in (tmp_path / "spectral").iterdir())
+
+        spectral_path = experiments.forecast_matrices
+
+        def forced(model, horizons):  # the proposed model at 130 pairs only
+            matrices, path = spectral_path(model, horizons)
+            if model.diagnostics.get("sigma") is not None and model.diagnostics["pairs"] == 130:
+                path = "matrix-power"
+            return matrices, path
+
+        monkeypatch.setattr(experiments, "forecast_matrices", forced)
+        out = tmp_path / "forced"
+        run_experiments(cfg, ("onestep", "nstep"), out)
+        notes = (out / "onestep_notes.txt").read_text()
+        assert notes == "seed=0 checkpoint=130 method=proposed forecast-path=matrix-power\n"
+        assert not (out / "nstep_notes.txt").exists()
 
     def test_shared_pass_matches_separate_stages(self, tiny_config, tmp_path):
         shared, separate = tmp_path / "shared", tmp_path / "separate"

@@ -11,6 +11,8 @@ from koopseed.model import KoopmanModel
 from koopseed.spectral import (
     SPECTRAL_TOL,
     DefectiveDecompositionError,
+    SpectralDecomposition,
+    _spectral_forecasts,
     decompose,
     forecast_matrices,
     prediction_matrix,
@@ -214,6 +216,23 @@ class TestPredict:
                 pointwise = (dec.eigenvalues**n * dec.eigenfunction_values(x)) @ dec.modes.T
                 assert np.abs(pointwise.imag).max() <= 1e-10
                 assert np.allclose(M @ d.evaluate(x), pointwise.real, atol=1e-10)
+
+    def test_unpaired_complex_eigenvalue_names_the_horizon(self):
+        # 0.5j has no conjugate partner: its odd powers leave an imaginary
+        # residue of 0.5**n, its even powers none
+        d = build_dictionary(1, 1)
+        dec = SpectralDecomposition(
+            dictionary=d,
+            eigenvalues=np.array([1.0, 0.5j]),
+            right_vectors=np.eye(2, dtype=complex),
+            left_vectors=np.eye(2, dtype=complex),
+            modes=np.array([[0.0, 1.0]], dtype=complex),
+            defective=False,
+            residual=0.0,
+        )
+        assert np.array_equal(_spectral_forecasts(dec, [0, 2]), [[[0.0, 1.0]], [[0.0, -0.25]]])
+        with pytest.raises(DefectiveDecompositionError, match="residue 1.250e-01 at horizon 3 "):
+            _spectral_forecasts(dec, [0, 2, 3, 1])
 
     def test_matrix_power_fallback_for_defective(self):
         d = build_dictionary(2, 2)
