@@ -32,9 +32,12 @@ def _add_common(parser, degree=True, sigma=True):
 
 def _add_experiment_flags(parser):
     parser.add_argument("--seeds", type=int, default=None, help="number of RNG repetitions")
+    parser.add_argument("--no-raw", action="store_true", help="skip raw per-point error CSVs")
+
+
+def _add_checkpoint_flags(parser):
     parser.add_argument("--checkpoint-stride", type=int, default=None)
     parser.add_argument("--max-pairs", type=int, default=None)
-    parser.add_argument("--no-raw", action="store_true", help="skip raw per-point error CSVs")
 
 
 def _load(args):
@@ -190,6 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-onestep", parents=[config], help="one-step error vs training size, both methods")
     _add_common(p)
     _add_experiment_flags(p)
+    _add_checkpoint_flags(p)
     p.set_defaults(func=_cmd_eval_onestep)
 
     p = sub.add_parser("eval-nstep", parents=[config], help="n-step forecast error, both methods")
@@ -209,6 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", metavar="preset", choices=bundled_preset_names())
     _add_common(p)
     _add_experiment_flags(p)
+    _add_checkpoint_flags(p)
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

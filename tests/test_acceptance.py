@@ -149,7 +149,7 @@ def test_criterion_4_spectral_consistency():
     worst_rec = 0.0
     for _ in range(100):
         x = rng.uniform(-2, 2, 2)
-        recon = (dec.modes @ dec.eigenfunction_values(x)).real
+        recon = (dec.modes @ (d.evaluate(x) @ dec.left_vectors)).real
         worst_rec = max(
             worst_rec, np.linalg.norm(recon - x) / max(1.0, np.linalg.norm(x))
         )

@@ -140,14 +140,17 @@ def test_non_finite_sigma_rejected_before_output(tmp_path):
 
 @pytest.mark.parametrize(
     "command, flag",
-    [("derive", "--sigma"), ("simulate", "--degree"), ("simulate", "--sigma"), ("train-batch", "--sigma")],
+    [
+        ("derive", "--sigma"), ("simulate", "--degree"), ("simulate", "--sigma"), ("train-batch", "--sigma"),
+        ("eval-nstep", "--checkpoint-stride"), ("eval-nstep", "--max-pairs"),
+    ],
 )
 def test_flags_a_command_never_reads_are_rejected(tiny_path, tmp_path, capsys, command, flag):
-    argv = [command, "--config", tiny_path, "--out", str(tmp_path / "out"), flag, "2"]
+    argv = [command, "--config", tiny_path, "--out", str(tmp_path / "out"), flag, "7"]
     with pytest.raises(SystemExit) as exit_info:
         main(argv + (["--traj", "train.csv"] if command == "train-batch" else []))
     assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 7" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -60,7 +60,7 @@ class TestRK4:
 
     def test_blow_up_raises(self):
         f = PolynomialVectorField(1, [[((2,), 1.0)]])  # xdot = x^2
-        with pytest.raises(BlowUpError):
+        with pytest.raises(BlowUpError), pytest.warns(RuntimeWarning, match="overflow"):
             rk4_step(f, np.array([1e200]), 1.0)
 
 
@@ -90,7 +90,7 @@ class TestSimulate:
     def test_blow_up_reports_step(self):
         f = PolynomialVectorField(1, [[((2,), 1.0)]])
         sys_ = CoupledSystem(subsystems=[f], couplings=[], layout=VariableLayout((1,)))
-        with pytest.raises(BlowUpError) as info:
+        with pytest.raises(BlowUpError) as info, pytest.warns(RuntimeWarning, match="overflow"):
             simulate(sys_, [5.0], 1000, 0.5)
         assert info.value.step is not None
 

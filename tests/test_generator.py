@@ -1,15 +1,18 @@
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from monomial_cases import assert_same_bits, power_loop, state_batches
-from scipy.linalg import expm
 
 from koopseed.dictionary import build_dictionary
 from koopseed.dynamics import rk4_step
 from koopseed.generator import (
+    _THETA13,
     PolynomialVectorField,
     build_generator,
+    expm,
     local_koopman,
 )
 
@@ -126,6 +129,68 @@ class TestPolynomialVectorField:
         assert np.isfinite(out[1]).all()
 
 
+@st.composite
+def scaled_matrices(draw):
+    """Square matrices of order 1 to 6 scaled to a 1-norm between 1e-8 and 1e2."""
+    n = draw(st.integers(1, 6))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    A = np.array(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    norm = np.linalg.norm(A, 1)
+    assume(norm > 0)
+    return A * (10.0 ** draw(st.floats(-8.0, 2.0)) / norm)
+
+
+def mpmath_expm(A):
+    """exp(A) evaluated with 50 significant digits, rounded to float."""
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(), dtype=float)
+
+
+def relative_error(X, oracle):
+    return np.linalg.norm(X - oracle) / np.linalg.norm(oracle)
+
+
+class TestExpm:
+    @given(scaled_matrices())
+    def test_matches_scipy(self, A):
+        # scipy's own error reaches 1e-11 at 1-norms of 8 to 100 (measured
+        # against mpmath_expm); where it is off, the 50-digit value decides
+        X = expm(A)
+        assert (
+            relative_error(X, scipy.linalg.expm(A)) <= 1e-12
+            or relative_error(X, mpmath_expm(A)) <= 1e-12
+        )
+
+    def test_matches_50_digit_oracle_with_squaring(self):
+        A = np.array([
+            [-1.5, 6.0, 0.0, 2.0],
+            [0.0, -2.0, 5.0, 0.0],
+            [0.25, 0.0, -1.0, 4.0],
+            [0.0, -0.5, 0.0, -3.0],
+        ])
+        assert not np.allclose(A @ A.T, A.T @ A)  # non-normal
+        assert np.linalg.norm(A, 1) > _THETA13  # so the result is squared
+        assert relative_error(expm(A), mpmath_expm(A)) <= 1e-14
+
+    def test_sampling_interval_error_far_below_unit_roundoff(self):
+        G = build_generator(duffing_rhs(0.23, -0.99, 0.8), build_dictionary(2, 3)).matrix * 0.01
+        assert relative_error(expm(G), mpmath_expm(G)) <= 1e-17
+
+    def test_zero_gives_identity_exactly(self):
+        assert np.array_equal(expm(np.zeros((5, 5))), np.eye(5))
+
+    def test_inverse_is_exp_of_negation(self):
+        A = np.random.default_rng(11).uniform(-2, 2, (6, 6))
+        assert np.allclose(expm(A) @ expm(-A), np.eye(6), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            expm(A)
+
+
 class TestBuildGenerator:
     def test_1d_scaling_is_diagonal(self):
         lam = 0.7
@@ -204,7 +269,7 @@ class TestLocalKoopman:
         f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
         K = local_koopman(build_generator(f, d), dt).matrix
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        assert np.allclose(K[1:, 1:], expm(A * dt), atol=1e-14)
+        assert np.allclose(K[1:, 1:], scipy.linalg.expm(A * dt), atol=1e-14)
         assert K[1, 1] == pytest.approx(np.cos(dt))
         assert K[1, 2] == pytest.approx(np.sin(dt))
 
@@ -238,7 +303,7 @@ class TestLocalKoopman:
             dt = 0.05
             d = build_dictionary(D, 1)
             K = local_koopman(build_generator(linear_field(A), d), dt).matrix
-            flow = expm(A * dt)
+            flow = scipy.linalg.expm(A * dt)
             rel = np.linalg.norm(K[1:, 1:] - flow) / np.linalg.norm(flow)
             assert rel <= 1e-10
             for _ in range(5):
@@ -254,7 +319,7 @@ class TestLocalKoopman:
         dt = 0.05
         d = build_dictionary(2, 2)
         K = local_koopman(build_generator(linear_field(A), d), dt).matrix
-        assert np.allclose(K[1:3, 1:3], expm(A * dt), atol=1e-12)
+        assert np.allclose(K[1:3, 1:3], scipy.linalg.expm(A * dt), atol=1e-12)
 
     def test_semigroup_for_linear_field(self):
         rng = np.random.default_rng(7)

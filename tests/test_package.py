@@ -2,7 +2,10 @@
 names the benchmark hooks stay in step with the API."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import koopseed
@@ -59,3 +62,18 @@ def test_bench_hooked_names_resolve():
         owner = importlib.import_module(module_name)
         missing += [f"{module_name}.{a}" for a in attrs if not hasattr(owner, a)]
     assert missing == []
+
+
+def test_derive_runs_without_scipy(tmp_path):
+    # in a fresh interpreter, so that no module the tests import counts
+    script = (
+        "import sys\n"
+        "from koopseed.cli import main\n"
+        f"main(['derive', '--config', 'duffing', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+    assert (tmp_path / "seed_matrix.csv").exists()
