@@ -240,6 +240,17 @@ class TestGenerateData:
         assert data.train_states.shape == (201, 4)
         assert data.test_states.shape == (4, 51, 4)
 
+    @pytest.mark.parametrize("burn_in", [0, 10])
+    def test_test_states_hold_no_burn_in(self, burn_in):
+        # the discarded prefix is freed: the test states' buffer is their own size
+        cfg = config_from_dict(tiny_config_dict(test_burn_in=burn_in))
+        states = generate_data(cfg, 0).test_states
+        assert states.flags.c_contiguous
+        buffer = states
+        while buffer.base is not None:
+            buffer = buffer.base
+        assert buffer.nbytes == states.nbytes
+
     def test_deterministic(self, tiny_config):
         a = generate_data(tiny_config, 1)
         b = generate_data(tiny_config, 1)
@@ -408,6 +419,41 @@ class TestOnestepErrors:
                 got = onestep_errors(forecast, psi, data.test_states)
                 assert got.shape == (count, length - 1)
                 assert np.array_equal(got, expected)
+
+    # Bounds in states on tiny_config's 4 trajectories of 61 states: blocks of
+    # 3 and 1, below one trajectory (one per block), exactly one trajectory,
+    # and one block larger than the whole set.
+    @pytest.mark.parametrize("bound", [183, 10, 61, 10**6])
+    def test_blocked_scores_equal_whole_tensor(self, tiny_config, monkeypatch, bound):
+        monkeypatch.setattr(experiments, "_SCORE_BLOCK_STATES", bound)
+        dictionary = tiny_config.dictionary()
+        data = generate_data(tiny_config, 0)
+        models = train_checkpoint_models(tiny_config, data, tiny_config.checkpoints())
+        scores = experiments._onestep_scores(tiny_config, dictionary, 0, data, models, [])
+        psi = dictionary.evaluate(data.test_states)
+        assert sorted(scores) == tiny_config.checkpoints()
+        for cp, per_method in scores.items():
+            for method in METHODS:
+                forecast = forecast_matrices(models[method][cp], [1])[0][1]
+                expected = onestep_errors(forecast, psi, data.test_states)
+                assert np.array_equal(per_method[method], expected)
+
+    def test_test_tensor_is_never_evaluated_whole(self, tiny_config, monkeypatch):
+        bound = 2 * tiny_config.test_length
+        monkeypatch.setattr(experiments, "_SCORE_BLOCK_STATES", bound)
+        evaluate = experiments.Dictionary.evaluate
+        test_calls = []
+
+        def recorded(dictionary, x):
+            if x.ndim == 3:  # the training states are one 2-D trajectory
+                test_calls.append(x.shape[0] * x.shape[1])
+            return evaluate(dictionary, x)
+
+        monkeypatch.setattr(experiments.Dictionary, "evaluate", recorded)
+        run_experiments(tiny_config, ("onestep",))
+        total = tiny_config.seeds * tiny_config.test_count * tiny_config.test_length
+        assert sum(test_calls) == total
+        assert max(test_calls) <= bound
 
     def test_zero_norm_truth_rejected(self, tiny_config):
         data = generate_data(tiny_config, 0)
