@@ -36,12 +36,7 @@ from .experiments import (
     load_config,
     run_experiments,
 )
-from .generator import (
-    GeneratorMatrix,
-    PolynomialVectorField,
-    build_generator,
-    local_koopman,
-)
+from .generator import PolynomialVectorField, build_generator, local_koopman
 from .model import KoopmanModel, load_matrix_csv, save_matrix_csv
 from .spectral import (
     DefectiveDecompositionError,
@@ -60,7 +55,6 @@ __all__ = [
     "DefectiveDecompositionError",
     "Dictionary",
     "ExperimentConfig",
-    "GeneratorMatrix",
     "KoopmanModel",
     "OnlineState",
     "PolynomialVectorField",

@@ -79,8 +79,12 @@ def _cmd_simulate(args):
 
 
 def _train_pairs_from_csv(config, path, pairs):
+    states, dt = load_trajectory_csv(path)
+    # the tolerance of load_trajectory_csv's spacing check
+    if abs(dt - config.dt) > 1e-12 * (1.0 + abs(config.dt)):
+        raise SystemExit(f"{path} is sampled at dt {dt:g}, the config at dt {config.dt:g}")
     dictionary = config.dictionary()
-    psi = dictionary.evaluate(load_trajectory_csv(path)[0])
+    psi = dictionary.evaluate(states)
     available = psi.shape[0] - 1
     m = available if pairs is None else pairs
     if not 1 <= m <= available:
@@ -90,8 +94,8 @@ def _train_pairs_from_csv(config, path, pairs):
 
 def _cmd_train_online(args):
     config = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     dictionary, psi_x, psi_y, m = _train_pairs_from_csv(config, args.traj, args.pairs)
+    os.makedirs(args.out, exist_ok=True)
     state = online_init(derive_seed_model(config), config.sigma)
     state = online_update_many(state, psi_x, psi_y)
     path = os.path.join(args.out, f"koopman_online_m{m}.csv")
@@ -105,8 +109,8 @@ def _cmd_train_online(args):
 
 def _cmd_train_batch(args):
     config = _load(args)
-    os.makedirs(args.out, exist_ok=True)
     dictionary, psi_x, psi_y, m = _train_pairs_from_csv(config, args.traj, args.pairs)
+    os.makedirs(args.out, exist_ok=True)
     model = batch_edmd_from_psi(dictionary, psi_x, psi_y)
     path = os.path.join(args.out, f"koopman_edmd_m{m}.csv")
     save_matrix_csv(

@@ -2,11 +2,11 @@
 
 Batch EDMD solves the least-squares problem through the pseudoinverse of the
 dictionary Gram matrix. The online path keeps the current estimate and the
-inverse-Gram surrogate. ``online_update`` absorbs one pair per rank-one
-update; ``online_update_many`` absorbs arrays of pairs in blocks through the
-Woodbury identity, which equals the repeated rank-one update up to rounding,
-not bit for bit. Seeding either with an ODE-derived matrix biases the
-regression toward the seed.
+inverse-Gram surrogate and absorbs pairs through one recursion, in blocks
+through the Woodbury identity; a one-row block is the rank-one update.
+``online_update_many`` feeds it arrays of evaluated pairs and
+``online_update`` one SnapshotPair. Seeding with an ODE-derived matrix biases
+the regression toward the seed.
 """
 
 from dataclasses import dataclass
@@ -16,9 +16,9 @@ import numpy as np
 from .dictionary import Dictionary
 from .model import KoopmanModel
 
-# Pairs absorbed per Woodbury block in online_update_many. It divides every
+# Pairs absorbed per block of the online recursion. It divides every
 # checkpoint the presets and tests split training at, so a split run gives
-# the same bits as one call.
+# the same bits as one call, and no split there leaves a one-row block.
 _BLOCK_PAIRS = 10
 
 
@@ -73,9 +73,8 @@ class OnlineState:
     """Running state of the online recursion.
 
     ``pinv`` is the inverse-Gram surrogate (the positive-definite matrix
-    appearing inside the gain), re-symmetrized after every ``online_update``
-    and once per block in ``online_update_many``; ``count`` is the number of
-    pairs absorbed so far.
+    appearing inside the gain), re-symmetrized once per block of the
+    recursion; ``count`` is the number of pairs absorbed so far.
     """
 
     matrix: np.ndarray
@@ -106,38 +105,8 @@ def online_init(seed, sigma: float, dictionary: Dictionary | None = None) -> Onl
     return OnlineState(matrix=K, pinv=sigma * np.eye(K.shape[0]), count=0)
 
 
-def _online_step(K: np.ndarray, P: np.ndarray, psi_x: np.ndarray, psi_y: np.ndarray) -> float:
-    # In-place rank-one recursion; returns the gain. P symmetric positive
-    # definite keeps the gain in (0, 1].
-    Pp = P @ psi_x
-    gamma = 1.0 / (1.0 + psi_x @ Pp)
-    K += gamma * np.outer(psi_y - K @ psi_x, Pp)
-    P -= gamma * np.outer(Pp, Pp)
-    np.copyto(P, 0.5 * (P + P.T))
-    return gamma
-
-
-def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary) -> OnlineState:
-    """Absorb one snapshot pair and return the updated state.
-
-    With psi_x = Psi(x), psi_y = Psi(y) and gain
-    gamma = 1 / (1 + psi_x^T pinv psi_x):
-
-        K    <- K + gamma * (psi_y - K psi_x) (psi_x^T pinv)
-        pinv <- pinv - gamma * (pinv psi_x)(pinv psi_x)^T
-
-    The pinv quadratic form never increases, and gamma is always computable.
-    """
-    K = state.matrix.copy()
-    P = state.pinv.copy()
-    _online_step(K, P, dictionary.evaluate(pair.x), dictionary.evaluate(pair.y))
-    return OnlineState(matrix=K, pinv=P, count=state.count + 1)
-
-
-def online_update_many(
-    state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray
-) -> OnlineState:
-    """Absorb the rows of precomputed evaluations (m, n) as pairs, in order.
+def _absorb(state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray) -> OnlineState:
+    """The one online recursion: absorb the rows of psi_x, psi_y in order.
 
     Rows are taken in consecutive blocks of ``_BLOCK_PAIRS``, counted from
     the start of the call (the last block may be shorter). For a block X, Y
@@ -147,9 +116,51 @@ def online_update_many(
         K    <- K + (Y^T - K X^T) G
         pinv <- pinv - PX G
 
-    with pinv re-symmetrized once per block. The result equals repeated
-    online_update up to rounding, not bit for bit; splitting the rows across
-    calls at multiples of ``_BLOCK_PAIRS`` gives the same bits as one call.
+    with pinv re-symmetrized once per block. At b = 1 the solve is a scalar
+    gain gamma = 1 / (1 + x^T pinv x), in (0, 1] while pinv is positive
+    definite, and the update is rank one.
+    """
+    K = state.matrix.copy()
+    P = state.pinv.copy()
+    m = psi_x.shape[0]
+    for start in range(0, m, _BLOCK_PAIRS):
+        if m - start == 1:
+            # a one-row block; its solve would cost a third more than this step
+            x = psi_x[start]
+            Px = P @ x
+            gamma = 1.0 / (1.0 + x @ Px)
+            K += gamma * np.outer(psi_y[start] - K @ x, Px)
+            P -= gamma * np.outer(Px, Px)
+        else:
+            X = psi_x[start : start + _BLOCK_PAIRS]
+            Y = psi_y[start : start + _BLOCK_PAIRS]
+            PX = P @ X.T
+            G = np.linalg.solve(np.eye(X.shape[0]) + X @ PX, PX.T)
+            K += (Y.T - K @ X.T) @ G
+            P -= PX @ G
+        np.copyto(P, 0.5 * (P + P.T))
+    return OnlineState(matrix=K, pinv=P, count=state.count + m)
+
+
+def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary) -> OnlineState:
+    """Absorb one snapshot pair and return the updated state.
+
+    The pair is evaluated on the dictionary and absorbed as a one-row block,
+    bit for bit what ``online_update_many`` gives for the same row.
+    """
+    psi_x = dictionary.evaluate(pair.x)[None, :]
+    psi_y = dictionary.evaluate(pair.y)[None, :]
+    return _absorb(state, psi_x, psi_y)
+
+
+def online_update_many(
+    state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray
+) -> OnlineState:
+    """Absorb the rows of precomputed evaluations (m, n) as pairs, in order.
+
+    The rows go through the block recursion of ``_absorb``. Splitting them
+    across calls at multiples of ``_BLOCK_PAIRS`` gives the same bits as one
+    call; other splits agree up to rounding.
     """
     n = state.matrix.shape[0]
     psi_x = np.asarray(psi_x, dtype=float)
@@ -161,15 +172,4 @@ def online_update_many(
         )
     if not (np.isfinite(psi_x).all() and np.isfinite(psi_y).all()):
         raise ValueError("snapshot pair evaluations contain non-finite values")
-    K = state.matrix.copy()
-    P = state.pinv.copy()
-    for start in range(0, psi_x.shape[0], _BLOCK_PAIRS):
-        X = psi_x[start : start + _BLOCK_PAIRS]
-        Y = psi_y[start : start + _BLOCK_PAIRS]
-        PX = P @ X.T
-        S = np.eye(X.shape[0]) + X @ PX
-        G = np.linalg.solve(S, PX.T)
-        K += (Y.T - K @ X.T) @ G
-        P -= PX @ G
-        np.copyto(P, 0.5 * (P + P.T))
-    return OnlineState(matrix=K, pinv=P, count=state.count + psi_x.shape[0])
+    return _absorb(state, psi_x, psi_y)

@@ -29,7 +29,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
-from .generator import PolynomialVectorField, build_generator, local_koopman
+from .generator import PolynomialVectorField, local_koopman
 from .model import KoopmanModel, save_matrix_csv, write_csv
 from .spectral import eigen_order, forecast_matrices, relative_l2
 
@@ -138,17 +138,30 @@ class ExperimentConfig:
         return build_dictionary(self.system.dim, self.degree)
 
 
-def _field_from_json(var_count: int, coordinates) -> PolynomialVectorField:
-    components = [
-        [(tuple(term["exponents"]), float(term["coeff"])) for term in coord]
-        for coord in coordinates
-    ]
-    return PolynomialVectorField(var_count, components)
+def _reject_unknown_keys(entry: dict, known, where: str) -> None:
+    unknown = sorted(set(entry) - set(known))
+    if unknown:
+        raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+
+
+def _field_from_json(spec: dict, where: str) -> PolynomialVectorField:
+    _reject_unknown_keys(spec, ("dim", "coordinates"), where)
+    components = []
+    for c, coord in enumerate(spec["coordinates"]):
+        for t, term in enumerate(coord):
+            _reject_unknown_keys(term, ("exponents", "coeff"), f"{where} coordinate {c} term {t}")
+        components.append([(tuple(term["exponents"]), float(term["coeff"])) for term in coord])
+    return PolynomialVectorField(int(spec["dim"]), components)
 
 
 def _coupling_from_json(layout: VariableLayout, spec: dict) -> Coupling:
     target = int(spec["target"])
     source = int(spec["source"])
+    _reject_unknown_keys(
+        spec,
+        ("target", "source", "strength", "type", "drive_coord", "observed_coord"),
+        f"coupling {target}<-{source}",
+    )
     strength = float(spec.get("strength", 1.0))
     if spec.get("type") != "diffusive":
         raise ValueError(f"coupling {target}<-{source}: type {spec.get('type')!r} is not 'diffusive'")
@@ -166,12 +179,11 @@ def _coupling_from_json(layout: VariableLayout, spec: dict) -> Coupling:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed JSON."""
-    dims = tuple(int(s["dim"]) for s in raw["subsystems"])
-    layout = VariableLayout(dims)
-    subsystems = [
-        _field_from_json(int(s["dim"]), s["coordinates"]) for s in raw["subsystems"]
-    ]
+    """Build an ExperimentConfig from parsed JSON; unknown keys are errors."""
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"system"}
+    _reject_unknown_keys(raw, known | {"subsystems", "couplings"}, "config")
+    subsystems = [_field_from_json(s, f"subsystem {i}") for i, s in enumerate(raw["subsystems"])]
+    layout = VariableLayout(tuple(f.var_count for f in subsystems))
     couplings = [_coupling_from_json(layout, c) for c in raw.get("couplings", [])]
     system = CoupledSystem(subsystems=subsystems, couplings=couplings, layout=layout)
     return ExperimentConfig(
@@ -234,8 +246,7 @@ def derive_seed_model(config: ExperimentConfig) -> KoopmanModel:
     locals_ = []
     for fld in config.system.subsystems:
         local_dict = build_dictionary(fld.var_count, config.degree)
-        gen = build_generator(fld, local_dict)
-        locals_.append(local_koopman(gen, config.dt))
+        locals_.append(local_koopman(fld, local_dict, config.dt))
     return assemble_global(locals_, config.system.layout, global_dict)
 
 

@@ -7,8 +7,6 @@ Advancing that ODE over one sampling interval yields the Koopman matrix of
 the subsystem without any trajectory data.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dictionary import Dictionary, MonomialTable
@@ -127,21 +125,12 @@ class PolynomialVectorField:
         )
 
 
-@dataclass
-class GeneratorMatrix:
-    """Generator of observable-coefficient evolution on a monomial dictionary.
+def build_generator(field: PolynomialVectorField, dictionary: Dictionary) -> np.ndarray:
+    """Assemble the coefficient-evolution generator G of a polynomial ODE.
 
     Entry (m, n) is the rate at which the coefficient of target monomial m
     grows from source monomial n; the coefficient vector c of an observable
     evolves as dc/dt = G c. The constant's column is identically zero.
-    """
-
-    dictionary: Dictionary
-    matrix: np.ndarray
-
-
-def build_generator(field: PolynomialVectorField, dictionary: Dictionary) -> GeneratorMatrix:
-    """Assemble the coefficient-evolution generator for a polynomial ODE.
 
     For every dictionary multi-index n, coordinate i with n_i >= 1 and field
     term (a, f_ia), the target m = n - e_i + a receives n_i * f_ia at entry
@@ -170,12 +159,12 @@ def build_generator(field: PolynomialVectorField, dictionary: Dictionary) -> Gen
                 m = tuple(m)
                 if m in dictionary:
                     G[dictionary.index_of(m), col] += n[i] * coeff
-    return GeneratorMatrix(dictionary, G)
+    return G
 
 
-def local_koopman(gen: GeneratorMatrix, dt: float) -> KoopmanModel:
-    """Advance the generator over one sampling interval and orient the result
-    so that Psi(x_next) ~= K Psi(x).
+def local_koopman(field: PolynomialVectorField, dictionary: Dictionary, dt: float) -> KoopmanModel:
+    """Advance the generator of ``field`` on ``dictionary`` over one sampling
+    interval and orient the result so that Psi(x_next) ~= K Psi(x).
 
     Column m of exp(G dt) is the coefficient vector of the time-evolved
     monomial m, which forms row m of K; hence K = exp(G dt)^T, computed by
@@ -186,7 +175,8 @@ def local_koopman(gen: GeneratorMatrix, dt: float) -> KoopmanModel:
     if dt < 0:
         raise ValueError("dt must be non-negative")
 
-    flow = expm(gen.matrix * dt)
+    G = build_generator(field, dictionary)
+    flow = expm(G * dt)
 
     # The constant's column of G is structurally zero, so the evolved constant
     # is exactly the constant: scrub roundoff. When the field has no constant
@@ -195,6 +185,6 @@ def local_koopman(gen: GeneratorMatrix, dt: float) -> KoopmanModel:
     unit = np.zeros(n)
     unit[0] = 1.0
     flow[:, 0] = unit
-    if not gen.matrix[0, :].any():
+    if not G[0, :].any():
         flow[0, :] = unit
-    return KoopmanModel(gen.dictionary, flow.T)
+    return KoopmanModel(dictionary, flow.T)

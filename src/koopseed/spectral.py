@@ -45,7 +45,6 @@ class SpectralDecomposition:
     forecast_matrices falls back to matrix powers.
     """
 
-    dictionary: Dictionary
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
     left_vectors: np.ndarray
@@ -98,7 +97,6 @@ def decompose(model: KoopmanModel) -> SpectralDecomposition:
         defective = True
 
     return SpectralDecomposition(
-        dictionary=model.dictionary,
         eigenvalues=mu,
         right_vectors=U,
         left_vectors=W,

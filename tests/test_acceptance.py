@@ -58,7 +58,7 @@ def test_criterion_1_generator_linear_exactness():
         A = rng.uniform(-1.0, 1.0, (D, D))
         dt = 0.05
         d = build_dictionary(D, 1)
-        K = local_koopman(build_generator(linear_field(A), d), dt).matrix
+        K = local_koopman(linear_field(A), d, dt).matrix
         flow = expm(A * dt)
         rel = np.linalg.norm(K[1:, 1:] - flow) / np.linalg.norm(flow)
         worst = max(worst, rel)
@@ -72,7 +72,7 @@ def test_criterion_2_duffing_recurrence_exact():
     fld = PolynomialVectorField(
         2, [[((0, 1), 1.0)], [((0, 1), -delta), ((1, 0), -alpha), ((3, 0), -beta)]]
     )
-    G = build_generator(fld, d).matrix
+    G = build_generator(fld, d)
     R = np.zeros_like(G)
     for row, (n1, n2) in enumerate(d.entries):
         if (n1 + 1, n2 - 1) in d:

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from koopseed.assembly import assemble_global
 from koopseed.dictionary import VariableLayout, build_dictionary, embed_indices
-from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
+from koopseed.generator import PolynomialVectorField, local_koopman
 from koopseed.model import KoopmanModel
 
 DT = 0.02
@@ -18,7 +18,7 @@ def harmonic(omega):
 
 def local_model(field, degree):
     d = build_dictionary(field.var_count, degree)
-    return local_koopman(build_generator(field, d), DT)
+    return local_koopman(field, d, DT)
 
 
 def mixes_subsystems(multi_index, layout):

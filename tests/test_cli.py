@@ -80,6 +80,18 @@ def test_train_batch_and_online(tiny_path, tmp_path):
     assert not np.array_equal(batch.matrix, online.matrix)
 
 
+@pytest.mark.parametrize("command", ["train-online", "train-batch"])
+def test_train_rejects_a_trajectory_at_another_dt(tiny_path, tmp_path, command):
+    main(["simulate", "--config", tiny_path, "--out", str(tmp_path)])
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps(tiny_config_dict(dt=0.02)))
+    traj = str(tmp_path / "train_seed0.csv")
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit, match="sampled at dt 0.01, the config at dt 0.02"):
+        main([command, "--config", str(coarse), "--traj", traj, "--out", str(out)])
+    assert not out.exists()
+
+
 def test_eval_onestep_cli(tiny_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval-onestep", "--config", tiny_path, "--out", str(out), "--seeds", "1"])

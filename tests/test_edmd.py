@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from koopseed import edmd
 from koopseed.dictionary import build_dictionary
 from koopseed.dynamics import rk4_step, sample_initial, simulate
 from koopseed.edmd import (
@@ -14,7 +15,7 @@ from koopseed.edmd import (
     online_update,
     online_update_many,
 )
-from koopseed.experiments import load_config
+from koopseed.experiments import derive_seed_model, load_config
 
 DUFFING = load_config("duffing").system
 
@@ -145,16 +146,43 @@ class TestOnlineUpdate:
         assert v @ new.pinv @ v < v @ before_p @ v
 
     def test_gamma_bounds(self):
+        # pinv staying symmetric positive definite is equivalent to every
+        # rank-one gain lying in (0, 1]
         d = build_dictionary(2, 3)
         state = online_init(None, 10.0, dictionary=d)
         rng = np.random.default_rng(1)
-        from koopseed.edmd import _online_step
-
-        K, P = state.matrix, state.pinv
         for _ in range(50):
             x = rng.uniform(-1.5, 1.5, 2)
-            gamma = _online_step(K, P, d.evaluate(x), d.evaluate(x * 0.9))
-            assert 0.0 < gamma <= 1.0
+            state = online_update(state, SnapshotPair(x, x * 0.9), d)
+            assert np.array_equal(state.pinv, state.pinv.T)
+            assert np.linalg.eigvalsh(state.pinv).min() > 0
+
+    def test_single_pair_is_the_one_row_block_bit_for_bit(self):
+        d = build_dictionary(6, 3)
+        seed = derive_seed_model(load_config("duffing"))
+        one = many = online_init(seed, 1.0)
+        for p in duffing_pairs(50, seed=12):
+            one = online_update(one, p, d)
+            many = online_update_many(many, d.evaluate(p.x)[None, :], d.evaluate(p.y)[None, :])
+        assert np.array_equal(one.matrix, many.matrix)
+        assert np.array_equal(one.pinv, many.pinv)
+        assert one.count == many.count == 50
+
+    def test_single_pair_does_not_call_the_public_bulk_name(self, monkeypatch):
+        # a tracer that wraps both public names would count the pair twice
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return online_update_many(*args, **kwargs)
+
+        monkeypatch.setattr(edmd, "online_update_many", counting)
+        d = build_dictionary(2, 2)
+        state = online_init(None, 1.0, dictionary=d)
+        for x in np.random.default_rng(3).uniform(-1, 1, (5, 2)):
+            state = online_update(state, SnapshotPair(x, 0.9 * x), d)
+        assert calls == []
+        assert state.count == 5
 
     def test_pinv_quadratic_form_monotone(self):
         d = build_dictionary(2, 2)

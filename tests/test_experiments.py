@@ -150,6 +150,31 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"coupling {target}<-{source}: {key} {value} is not"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "where, path",
+        [
+            ("subsystem 1", ("subsystems", 1)),
+            ("subsystem 0 coordinate 1 term 1", ("subsystems", 0, "coordinates", 1, 1)),
+            ("coupling 1<-0", ("couplings", 1)),
+        ],
+        ids=["subsystem", "term", "coupling"],
+    )
+    def test_unknown_keys_are_rejected(self, where, path):
+        raw = tiny_config_dict()
+        entry = raw
+        for key in path:
+            entry = entry[key]
+        entry["sigmaa"] = 5.0
+        with pytest.raises(ValueError, match=f"^{where}: unknown key 'sigmaa'$"):
+            config_from_dict(raw)
+
+    def test_misspelled_keys_are_named(self):
+        raw = tiny_config_dict()
+        del raw["train_burn_in"], raw["sigma"]
+        raw.update(train_burnin=60, sigmaa=5.0)
+        with pytest.raises(ValueError, match="^config: unknown key 'sigmaa', 'train_burnin'$"):
+            config_from_dict(raw)
+
     def test_override_revalidates(self, tiny_config):
         smaller = override_config(tiny_config, seeds=1)
         assert smaller.seeds == 1

@@ -173,7 +173,7 @@ class TestExpm:
         assert relative_error(expm(A), mpmath_expm(A)) <= 1e-14
 
     def test_sampling_interval_error_far_below_unit_roundoff(self):
-        G = build_generator(duffing_rhs(0.23, -0.99, 0.8), build_dictionary(2, 3)).matrix * 0.01
+        G = build_generator(duffing_rhs(0.23, -0.99, 0.8), build_dictionary(2, 3)) * 0.01
         assert relative_error(expm(G), mpmath_expm(G)) <= 1e-17
 
     def test_zero_gives_identity_exactly(self):
@@ -196,14 +196,14 @@ class TestBuildGenerator:
         lam = 0.7
         d = build_dictionary(1, 3)
         f = PolynomialVectorField(1, [[((1,), lam)]])
-        G = build_generator(f, d).matrix
+        G = build_generator(f, d)
         assert np.array_equal(G, np.diag([0.0, lam, 2 * lam, 3 * lam]))
 
     def test_harmonic_degree_one(self):
         # L = x2 d/dx1 - x1 d/dx2 on [1, x1, x2]
         d = build_dictionary(2, 1)
         f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
-        G = build_generator(f, d).matrix
+        G = build_generator(f, d)
         expect = np.zeros((3, 3))
         expect[1, 2] = -1.0  # coefficient of x1 fed by the x2 slot
         expect[2, 1] = 1.0
@@ -211,21 +211,21 @@ class TestBuildGenerator:
 
     def test_constant_column_is_zero(self):
         d = build_dictionary(2, 3)
-        G = build_generator(duffing_rhs(0.23, -0.99, 0.8), d).matrix
+        G = build_generator(duffing_rhs(0.23, -0.99, 0.8), d)
         assert not G[:, 0].any()
 
     def test_duffing_matches_hand_coded_recurrence(self):
         # exact equality entry by entry, all 10 indices
         delta, alpha, beta = 0.23, -0.99, 0.8
         d = build_dictionary(2, 3)
-        G = build_generator(duffing_rhs(delta, alpha, beta), d).matrix
+        G = build_generator(duffing_rhs(delta, alpha, beta), d)
         R = duffing_recurrence_matrix(d, delta, alpha, beta)
         assert np.array_equal(G, R)
 
     def test_duffing_selected_entries(self):
         delta, alpha, beta = 0.15, -0.59, 0.86
         d = build_dictionary(2, 3)
-        G = build_generator(duffing_rhs(delta, alpha, beta), d).matrix
+        G = build_generator(duffing_rhs(delta, alpha, beta), d)
         # target (m1, m2) from source (m1+1, m2-1) carries m1+1
         assert G[d.index_of((1, 1)), d.index_of((2, 0))] == 2.0
         # diagonal damping -delta * n2
@@ -240,7 +240,7 @@ class TestBuildGenerator:
         # outside degree 3 and must be dropped, leaving the column empty
         d = build_dictionary(2, 3)
         cubic_only = PolynomialVectorField(2, [[], [((3, 0), -1.0)]])
-        G = build_generator(cubic_only, d).matrix
+        G = build_generator(cubic_only, d)
         col = G[:, d.index_of((1, 1))]
         assert not col.any()
         # the same source feeds an in-range target at lower degree bound
@@ -259,7 +259,7 @@ class TestLocalKoopman:
         lam, dt = -0.4, 0.13
         d = build_dictionary(1, 3)
         f = PolynomialVectorField(1, [[((1,), lam)]])
-        K = local_koopman(build_generator(f, d), dt).matrix
+        K = local_koopman(f, d, dt).matrix
         expect = np.diag([1.0, np.exp(lam * dt), np.exp(2 * lam * dt), np.exp(3 * lam * dt)])
         assert np.allclose(K, expect, atol=1e-14)
 
@@ -267,7 +267,7 @@ class TestLocalKoopman:
         dt = 0.01
         d = build_dictionary(2, 1)
         f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
-        K = local_koopman(build_generator(f, d), dt).matrix
+        K = local_koopman(f, d, dt).matrix
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         assert np.allclose(K[1:, 1:], scipy.linalg.expm(A * dt), atol=1e-14)
         assert K[1, 1] == pytest.approx(np.cos(dt))
@@ -275,20 +275,20 @@ class TestLocalKoopman:
 
     def test_dt_zero_gives_identity(self):
         d = build_dictionary(2, 2)
-        K = local_koopman(build_generator(duffing_rhs(0.2, -1.0, 0.5), d), 0.0).matrix
+        K = local_koopman(duffing_rhs(0.2, -1.0, 0.5), d, 0.0).matrix
         assert np.array_equal(K, np.eye(len(d)))
 
     def test_rejects_bad_dt(self):
         d = build_dictionary(1, 1)
-        gen = build_generator(PolynomialVectorField(1, [[((1,), 1.0)]]), d)
+        f = PolynomialVectorField(1, [[((1,), 1.0)]])
         with pytest.raises(ValueError):
-            local_koopman(gen, np.nan)
+            local_koopman(f, d, np.nan)
         with pytest.raises(ValueError):
-            local_koopman(gen, -0.1)
+            local_koopman(f, d, -0.1)
 
     def test_constant_invariance_exact(self):
         d = build_dictionary(2, 3)
-        K = local_koopman(build_generator(duffing_rhs(0.23, -0.99, 0.8), d), 0.01).matrix
+        K = local_koopman(duffing_rhs(0.23, -0.99, 0.8), d, 0.01).matrix
         unit = np.zeros(len(d))
         unit[0] = 1.0
         assert np.array_equal(K[:, 0], unit)
@@ -302,7 +302,7 @@ class TestLocalKoopman:
             A = rng.uniform(-1, 1, (D, D))
             dt = 0.05
             d = build_dictionary(D, 1)
-            K = local_koopman(build_generator(linear_field(A), d), dt).matrix
+            K = local_koopman(linear_field(A), d, dt).matrix
             flow = scipy.linalg.expm(A * dt)
             rel = np.linalg.norm(K[1:, 1:] - flow) / np.linalg.norm(flow)
             assert rel <= 1e-10
@@ -318,27 +318,28 @@ class TestLocalKoopman:
         A = rng.uniform(-1, 1, (2, 2))
         dt = 0.05
         d = build_dictionary(2, 2)
-        K = local_koopman(build_generator(linear_field(A), d), dt).matrix
+        K = local_koopman(linear_field(A), d, dt).matrix
         assert np.allclose(K[1:3, 1:3], scipy.linalg.expm(A * dt), atol=1e-12)
 
     def test_semigroup_for_linear_field(self):
         rng = np.random.default_rng(7)
         A = rng.uniform(-1, 1, (3, 3))
         d = build_dictionary(3, 1)
-        gen = build_generator(linear_field(A), d)
-        K1 = local_koopman(gen, 0.03).matrix
-        K2 = local_koopman(gen, 0.05).matrix
-        K12 = local_koopman(gen, 0.08).matrix
+        f = linear_field(A)
+        K1 = local_koopman(f, d, 0.03).matrix
+        K2 = local_koopman(f, d, 0.05).matrix
+        K12 = local_koopman(f, d, 0.08).matrix
         rel = np.linalg.norm(K12 - K1 @ K2) / np.linalg.norm(K12)
         assert rel <= 1e-10
 
     def test_rk4_route_agrees_with_expm(self):
         d = build_dictionary(2, 3)
-        gen = build_generator(duffing_rhs(0.23, -0.99, 0.8), d)
-        K_expm = local_koopman(gen, 0.01).matrix
+        f = duffing_rhs(0.23, -0.99, 0.8)
+        K_expm = local_koopman(f, d, 0.01).matrix
         # independent route: integrate C' = G C, C(0) = I, with 200 RK4 substeps
+        G = build_generator(f, d)
         C = np.eye(len(d))
         for _ in range(200):
-            C = rk4_step(gen.matrix.__matmul__, C, 0.01 / 200)
+            C = rk4_step(G.__matmul__, C, 0.01 / 200)
         rel = np.linalg.norm(K_expm - C.T) / np.linalg.norm(K_expm)
         assert rel <= 1e-8

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from koopseed.dictionary import build_dictionary
-from koopseed.generator import PolynomialVectorField, build_generator, local_koopman
+from koopseed.generator import PolynomialVectorField, local_koopman
 from koopseed.model import KoopmanModel
 from koopseed.spectral import (
     SPECTRAL_TOL,
@@ -158,7 +158,7 @@ class TestPredict:
         lam, dt = -0.7, 0.05
         d = build_dictionary(1, 3)
         f = PolynomialVectorField(1, [[((1,), lam)]])
-        model = local_koopman(build_generator(f, d), dt)
+        model = local_koopman(f, d, dt)
         dec = decompose(model)
         for x in (0.4, -1.2):
             got = prediction_matrix(dec, 1) @ d.evaluate(np.array([x]))
@@ -220,9 +220,7 @@ class TestPredict:
     def test_unpaired_complex_eigenvalue_names_the_horizon(self):
         # 0.5j has no conjugate partner: its odd powers leave an imaginary
         # residue of 0.5**n, its even powers none
-        d = build_dictionary(1, 1)
         dec = SpectralDecomposition(
-            dictionary=d,
             eigenvalues=np.array([1.0, 0.5j]),
             right_vectors=np.eye(2, dtype=complex),
             left_vectors=np.eye(2, dtype=complex),
