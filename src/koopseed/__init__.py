@@ -14,7 +14,6 @@ from .dynamics import (
     BlowUpError,
     CoupledSystem,
     Coupling,
-    diffusive_coupling,
     perturb_initial,
     rk4_step,
     sample_initial,
@@ -68,7 +67,6 @@ __all__ = [
     "decompose",
     "derive_seed",
     "derive_seed_model",
-    "diffusive_coupling",
     "embed_indices",
     "forecast_matrices",
     "load_config",

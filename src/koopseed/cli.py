@@ -5,7 +5,7 @@ import dataclasses
 import os
 import sys
 
-from .dynamics import load_trajectory_csv, save_trajectory_csv
+from .dynamics import DT_TOLERANCE, load_trajectory_csv, save_trajectory_csv
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
 from .experiments import (
     METHODS,
@@ -80,8 +80,7 @@ def _cmd_simulate(args):
 
 def _train_pairs_from_csv(config, path, pairs):
     states, dt = load_trajectory_csv(path)
-    # the tolerance of load_trajectory_csv's spacing check
-    if abs(dt - config.dt) > 1e-12 * (1.0 + abs(config.dt)):
+    if abs(dt - config.dt) > DT_TOLERANCE * (1.0 + abs(config.dt)):
         raise SystemExit(f"{path} is sampled at dt {dt:g}, the config at dt {config.dt:g}")
     dictionary = config.dictionary()
     psi = dictionary.evaluate(states)

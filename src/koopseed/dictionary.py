@@ -6,6 +6,7 @@ A Dictionary is the ordered set of all multi-indices up to a total-degree
 bound, which is the observable basis every other module works in.
 """
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -16,6 +17,17 @@ import numpy as np
 # temporaries independently of the batch size; larger passes were no faster
 # on the preset test tensors and raised peak memory on small batches.
 _CHUNK_ROWS = 512
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; a float counts only when it is integral (3.0 is
+    3, 2.5 is rejected rather than truncated). ``what`` names it in the error."""
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
 
 
 class MonomialTable:

@@ -5,13 +5,19 @@ fixed-step RK4 integrator, seeded initial-state sampling so that every
 dataset is exactly reproducible, and trajectory CSV input and output.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dictionary import VariableLayout
+from .dictionary import VariableLayout, as_int
 from .generator import PolynomialVectorField
 from .model import write_csv
+
+
+# Two time steps a and b are equal when |a - b| <= DT_TOLERANCE * (1 + |b|):
+# the spacing check of load_trajectory_csv and the CLI's check of a
+# trajectory's dt against the config's.
+DT_TOLERANCE = 1e-12
 
 
 class BlowUpError(RuntimeError):
@@ -22,115 +28,86 @@ class BlowUpError(RuntimeError):
         self.step = step
 
 
-@dataclass
+@dataclass(frozen=True)
 class Coupling:
-    """Directed coupling: subsystem ``target`` is driven by subsystem ``source``.
+    """Diffusive coupling, the fields of a config's coupling record.
 
-    The field maps the concatenated states (x_target, x_source) to a vector
-    added to the target's time derivative, scaled by ``strength``.
+    Subsystem ``target`` is driven by subsystem ``source``: ``strength *
+    (x_source[observed_coord] - x_target[observed_coord])`` is added to the
+    time derivative of ``x_target[drive_coord]``, by default the target's
+    last coordinate (the velocity of a second-order oscillator).
+    CoupledSystem checks these fields against its layout.
     """
 
     target: int
     source: int
-    strength: float
-    field: PolynomialVectorField
-
-    def __post_init__(self):
-        self.strength = float(self.strength)
-        if not np.isfinite(self.strength):
-            raise ValueError("coupling strength must be finite")
-
-
-def diffusive_coupling(dim_target: int, dim_source: int, drive_coord: int, observed_coord: int = 0) -> PolynomialVectorField:
-    """Coupling field adding (x_source[observed] - x_target[observed]) to one coordinate.
-
-    The standard position-difference coupling for second-order oscillators
-    drives the velocity equation (drive_coord=1) with the position difference
-    (observed_coord=0). ``drive_coord`` must index a target coordinate and
-    ``observed_coord`` a coordinate of both subsystems.
-    """
-    if not 0 <= drive_coord < dim_target:
-        raise ValueError(f"drive_coord {drive_coord} is not a coordinate of the {dim_target}-variable target")
-    if not 0 <= observed_coord < min(dim_target, dim_source):
-        raise ValueError(
-            f"observed_coord {observed_coord} is not a coordinate of both the "
-            f"{dim_target}-variable target and the {dim_source}-variable source"
-        )
-    nvars = dim_target + dim_source
-    components = [[] for _ in range(dim_target)]
-    plus = [0] * nvars
-    plus[dim_target + observed_coord] = 1
-    minus = [0] * nvars
-    minus[observed_coord] = 1
-    components[drive_coord] = [(tuple(plus), 1.0), (tuple(minus), -1.0)]
-    return PolynomialVectorField(nvars, components)
-
-
-def coupling_dims(layout: VariableLayout, target: int, source: int) -> tuple:
-    """Block sizes (target, source) of a coupling; both indices must name a
-    subsystem of ``layout`` (negative indices are rejected, not wrapped)."""
-    count = layout.subsystem_count
-    for role, index in (("target", target), ("source", source)):
-        if not 0 <= index < count:
-            raise ValueError(
-                f"coupling {target}<-{source}: {role} {index} is not a subsystem index in 0..{count - 1}"
-            )
-    return layout.subsystem_dims[target], layout.subsystem_dims[source]
+    strength: float = 1.0
+    drive_coord: int | None = None
+    observed_coord: int = 0
 
 
 @dataclass
 class CoupledSystem:
-    """Subsystem fields plus pairwise couplings over a shared variable layout."""
+    """Subsystem fields plus diffusive couplings over a shared variable layout.
+
+    Construction checks every coupling against the layout and builds
+    ``field``, the polynomial field over all variables that RK4 integrates.
+    """
 
     subsystems: list
     couplings: list
     layout: VariableLayout
-    _full: PolynomialVectorField | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if len(self.subsystems) != self.layout.subsystem_count:
+        dims, offsets = self.layout.subsystem_dims, self.layout.offsets
+        if len(self.subsystems) != len(dims):
             raise ValueError("one subsystem field per layout block is required")
+        D = self.layout.total_vars
+        components = [[] for _ in range(D)]
         for i, f in enumerate(self.subsystems):
-            if f.var_count != self.layout.subsystem_dims[i] or f.component_count != f.var_count:
+            if f.var_count != dims[i]:
                 raise ValueError(f"subsystem {i} field does not match its layout block")
-        for c in self.couplings:
-            di, dj = coupling_dims(self.layout, c.target, c.source)
-            if c.field.var_count != di + dj or c.field.component_count != di:
-                raise ValueError(
-                    f"coupling {c.target}<-{c.source}: field must map "
-                    f"{di + dj} variables to {di} components"
-                )
+            for k, terms in enumerate(f.components):
+                for m, c in terms:
+                    padded = [0] * D
+                    padded[offsets[i] : offsets[i] + f.var_count] = m
+                    components[offsets[i] + k].append((tuple(padded), c))
+        for cp in self.couplings:
+            target, source, drive, observed, strength = self._check(cp)
+            plus = [0] * D
+            plus[offsets[source] + observed] = 1
+            minus = [0] * D
+            minus[offsets[target] + observed] = 1
+            components[offsets[target] + drive] += [(tuple(plus), strength), (tuple(minus), -strength)]
+        self.field = PolynomialVectorField(D, components)
+
+    def _check(self, cp: Coupling) -> tuple:
+        # (target, source, drive_coord, observed_coord, strength) of a coupling
+        # checked against the layout; the one check of coupling fields
+        where = f"coupling {cp.target}<-{cp.source}"
+        dims = self.layout.subsystem_dims
+        target = as_int(cp.target, f"{where}: target")
+        source = as_int(cp.source, f"{where}: source")
+        for role, index in (("target", target), ("source", source)):
+            if not 0 <= index < len(dims):
+                raise ValueError(f"{where}: {role} {index} is not a subsystem index in 0..{len(dims) - 1}")
+        drive = dims[target] - 1 if cp.drive_coord is None else as_int(cp.drive_coord, f"{where}: drive_coord")
+        if not 0 <= drive < dims[target]:
+            raise ValueError(f"{where}: drive_coord {drive} is not a coordinate of the {dims[target]}-variable target")
+        observed = as_int(cp.observed_coord, f"{where}: observed_coord")
+        if not 0 <= observed < min(dims[target], dims[source]):
+            raise ValueError(
+                f"{where}: observed_coord {observed} is not a coordinate of both the "
+                f"{dims[target]}-variable target and the {dims[source]}-variable source"
+            )
+        strength = float(cp.strength)
+        if not np.isfinite(strength):
+            raise ValueError(f"{where}: strength {strength} is not finite")
+        return target, source, drive, observed, strength
 
     @property
     def dim(self) -> int:
         return self.layout.total_vars
-
-    def full_field(self) -> PolynomialVectorField:
-        """The induced polynomial vector field over all variables."""
-        if self._full is None:
-            D = self.layout.total_vars
-            offsets = self.layout.offsets
-            components = [[] for _ in range(D)]
-            for i, f in enumerate(self.subsystems):
-                off = offsets[i]
-                for k, terms in enumerate(f.components):
-                    for m, c in terms:
-                        padded = [0] * D
-                        padded[off : off + f.var_count] = m
-                        components[off + k].append((tuple(padded), c))
-            for cp in self.couplings:
-                di = self.layout.subsystem_dims[cp.target]
-                off_t = offsets[cp.target]
-                off_s = offsets[cp.source]
-                dj = self.layout.subsystem_dims[cp.source]
-                for k, terms in enumerate(cp.field.components):
-                    for m, c in terms:
-                        padded = [0] * D
-                        padded[off_t : off_t + di] = m[:di]
-                        padded[off_s : off_s + dj] = m[di:]
-                        components[off_t + k].append((tuple(padded), cp.strength * c))
-            self._full = PolynomialVectorField(D, components)
-        return self._full
 
 
 def rk4_step(fld, x, dt: float) -> np.ndarray:
@@ -156,12 +133,11 @@ def _integrate(system: CoupledSystem, x0s: np.ndarray, steps: int, dt: float) ->
         raise ValueError("steps must be non-negative")
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError("dt must be positive and finite")
-    fld = system.full_field()
     out = np.empty((x0s.shape[0], steps + 1, system.dim))
     out[:, 0] = x0s
     for k in range(steps):
         try:
-            out[:, k + 1] = rk4_step(fld, out[:, k], dt)
+            out[:, k + 1] = rk4_step(system.field, out[:, k], dt)
         except BlowUpError as exc:
             raise BlowUpError(f"trajectory blew up at step {k + 1}", step=k + 1) from exc
     return out
@@ -230,6 +206,6 @@ def load_trajectory_csv(path) -> tuple:
         raise ValueError(f"{path}: trajectory contains non-finite values")
     steps = np.diff(data[:, 0])
     dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-12, atol=1e-12):
+    if not np.allclose(steps, dt, rtol=DT_TOLERANCE, atol=DT_TOLERANCE):
         raise ValueError(f"{path}: time column is not uniformly spaced")
     return data[:, 1:], dt

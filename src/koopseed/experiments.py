@@ -16,13 +16,11 @@ from importlib import resources
 import numpy as np
 
 from .assembly import assemble_global
-from .dictionary import Dictionary, build_dictionary
+from .dictionary import Dictionary, as_int, build_dictionary
 from .dynamics import (
     CoupledSystem,
     Coupling,
     VariableLayout,
-    coupling_dims,
-    diffusive_coupling,
     perturb_initial,
     sample_initial,
     simulate,
@@ -109,6 +107,9 @@ class ExperimentConfig:
             raise ValueError("seeds must be >= 1")
         if len(self.init_ranges) != self.system.dim:
             raise ValueError("one init range per state variable is required")
+        for i, (lo, hi) in enumerate(self.init_ranges):
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo <= hi):
+                raise ValueError(f"init range {i} ({lo}, {hi}) must be finite with lo <= hi")
         pairs = self.train_pairs
         if self.max_pairs is not None and not 1 <= self.max_pairs <= pairs:
             raise ValueError(f"max_pairs must lie in [1, {pairs}]")
@@ -138,74 +139,74 @@ class ExperimentConfig:
         return build_dictionary(self.system.dim, self.degree)
 
 
-def _reject_unknown_keys(entry: dict, known, where: str) -> None:
-    unknown = sorted(set(entry) - set(known))
+# Config keys that may be left out, and the values they then take.
+_CONFIG_DEFAULTS = {"train_burn_in": 0, "test_burn_in": 0, "sigma": 1.0, "max_pairs": None, "seeds": 1, "couplings": ()}
+
+
+def _check_keys(entry: dict, required, optional, where: str) -> None:
+    unknown = sorted(set(entry) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
+    missing = sorted(set(required) - set(entry))
+    if missing:
+        raise ValueError(f"{where}: missing key {', '.join(map(repr, missing))}")
 
 
 def _field_from_json(spec: dict, where: str) -> PolynomialVectorField:
-    _reject_unknown_keys(spec, ("dim", "coordinates"), where)
+    _check_keys(spec, ("dim", "coordinates"), (), where)
     components = []
     for c, coord in enumerate(spec["coordinates"]):
         for t, term in enumerate(coord):
-            _reject_unknown_keys(term, ("exponents", "coeff"), f"{where} coordinate {c} term {t}")
-        components.append([(tuple(term["exponents"]), float(term["coeff"])) for term in coord])
-    return PolynomialVectorField(int(spec["dim"]), components)
-
-
-def _coupling_from_json(layout: VariableLayout, spec: dict) -> Coupling:
-    target = int(spec["target"])
-    source = int(spec["source"])
-    _reject_unknown_keys(
-        spec,
-        ("target", "source", "strength", "type", "drive_coord", "observed_coord"),
-        f"coupling {target}<-{source}",
-    )
-    strength = float(spec.get("strength", 1.0))
-    if spec.get("type") != "diffusive":
-        raise ValueError(f"coupling {target}<-{source}: type {spec.get('type')!r} is not 'diffusive'")
-    di, dj = coupling_dims(layout, target, source)
+            _check_keys(term, ("exponents", "coeff"), (), f"{where} coordinate {c} term {t}")
+        components.append([(term["exponents"], float(term["coeff"])) for term in coord])
     try:
-        fld = diffusive_coupling(
-            di,
-            dj,
-            drive_coord=int(spec.get("drive_coord", di - 1)),
-            observed_coord=int(spec.get("observed_coord", 0)),
-        )
+        return PolynomialVectorField(as_int(spec["dim"], "dim"), components)
     except ValueError as exc:
-        raise ValueError(f"coupling {target}<-{source}: {exc}") from exc
-    return Coupling(target=target, source=source, strength=strength, field=fld)
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def _coupling_from_json(spec: dict) -> Coupling:
+    where = f"coupling {spec.get('target', '?')}<-{spec.get('source', '?')}"
+    _check_keys(spec, ("target", "source"), ("strength", "type", "drive_coord", "observed_coord"), where)
+    if spec.get("type") != "diffusive":
+        raise ValueError(f"{where}: type {spec.get('type')!r} is not 'diffusive'")
+    return Coupling(**{k: v for k, v in spec.items() if k != "type"})
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed JSON; unknown keys are errors."""
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"system"}
-    _reject_unknown_keys(raw, known | {"subsystems", "couplings"}, "config")
+    """Build an ExperimentConfig from parsed JSON. Unknown keys, missing keys
+    without a schema default and non-integral integers are errors."""
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"system"} | {"subsystems", "couplings"}
+    _check_keys(raw, known - set(_CONFIG_DEFAULTS), _CONFIG_DEFAULTS, "config")
+    raw = {**_CONFIG_DEFAULTS, **raw}
     subsystems = [_field_from_json(s, f"subsystem {i}") for i, s in enumerate(raw["subsystems"])]
     layout = VariableLayout(tuple(f.var_count for f in subsystems))
-    couplings = [_coupling_from_json(layout, c) for c in raw.get("couplings", [])]
+    couplings = [_coupling_from_json(c) for c in raw["couplings"]]
     system = CoupledSystem(subsystems=subsystems, couplings=couplings, layout=layout)
+
+    def integer(key):
+        return as_int(raw[key], f"config: {key}")
+
     return ExperimentConfig(
         name=str(raw["name"]),
         system=system,
-        degree=int(raw["degree"]),
+        degree=integer("degree"),
         dt=float(raw["dt"]),
-        train_steps=int(raw["train_steps"]),
-        train_burn_in=int(raw.get("train_burn_in", 0)),
-        test_count=int(raw["test_count"]),
-        test_steps=int(raw["test_steps"]),
-        test_burn_in=int(raw.get("test_burn_in", 0)),
+        train_steps=integer("train_steps"),
+        train_burn_in=integer("train_burn_in"),
+        test_count=integer("test_count"),
+        test_steps=integer("test_steps"),
+        test_burn_in=integer("test_burn_in"),
         perturb_radius=float(raw["perturb_radius"]),
-        sigma=float(raw.get("sigma", 1.0)),
-        checkpoint_stride=int(raw["checkpoint_stride"]),
-        max_pairs=None if raw.get("max_pairs") is None else int(raw["max_pairs"]),
-        nstep_horizon=int(raw["nstep_horizon"]),
-        nstep_train_pairs=int(raw["nstep_train_pairs"]),
-        spectrum_train_pairs=int(raw["spectrum_train_pairs"]),
+        sigma=float(raw["sigma"]),
+        checkpoint_stride=integer("checkpoint_stride"),
+        max_pairs=None if raw["max_pairs"] is None else integer("max_pairs"),
+        nstep_horizon=integer("nstep_horizon"),
+        nstep_train_pairs=integer("nstep_train_pairs"),
+        spectrum_train_pairs=integer("spectrum_train_pairs"),
         init_ranges=tuple((float(lo), float(hi)) for lo, hi in raw["init_ranges"]),
-        root_seed=int(raw["root_seed"]),
-        seeds=int(raw.get("seeds", 1)),
+        root_seed=integer("root_seed"),
+        seeds=integer("seeds"),
     )
 
 

@@ -9,7 +9,7 @@ the subsystem without any trajectory data.
 
 import numpy as np
 
-from .dictionary import Dictionary, MonomialTable
+from .dictionary import Dictionary, MonomialTable, as_int
 from .model import KoopmanModel
 
 
@@ -59,22 +59,25 @@ def expm(A) -> np.ndarray:
 class PolynomialVectorField:
     """Sparse polynomial right-hand side, one term list per output coordinate.
 
-    Each term is (exponents, coefficient) with ``exponents`` a multi-index
-    over all ``var_count`` input variables. Duplicate multi-indices within a
-    coordinate are merged on construction; exact-zero coefficients are
-    dropped. The number of output coordinates may differ from var_count
-    (coupling terms are rectangular); an ODE right-hand side is square.
+    The right-hand side of an ODE: one component per input variable. Each
+    term is (exponents, coefficient) with ``exponents`` a multi-index over
+    all ``var_count`` variables; an exponent must be an integer (a float
+    only when integral). Duplicate multi-indices within a coordinate are
+    merged on construction; exact-zero coefficients are dropped.
     """
 
     def __init__(self, var_count: int, components):
-        if var_count < 1:
+        self.var_count = as_int(var_count, "var_count")
+        if self.var_count < 1:
             raise ValueError("var_count must be >= 1")
-        self.var_count = int(var_count)
+        components = list(components)
+        if len(components) != self.var_count:
+            raise ValueError(f"{len(components)} components for {self.var_count} variables")
         merged = []
         for coord, terms in enumerate(components):
             acc = {}
-            for exponents, coeff in terms:
-                m = tuple(int(e) for e in exponents)
+            for t, (exponents, coeff) in enumerate(terms):
+                m = tuple(as_int(e, f"coordinate {coord} term {t}: exponent") for e in exponents)
                 if len(m) != self.var_count:
                     raise ValueError(
                         f"coordinate {coord}: exponent vector {m} has length "
@@ -101,10 +104,6 @@ class PolynomialVectorField:
                 self._coef[coord, t] = c
                 t += 1
 
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
     def evaluate(self, x) -> np.ndarray:
         """Evaluate the field at a state or a batch of states (..., var_count)."""
         x = np.asarray(x, dtype=float)
@@ -119,10 +118,7 @@ class PolynomialVectorField:
 
     def __repr__(self):
         terms = sum(len(t) for t in self.components)
-        return (
-            f"PolynomialVectorField(var_count={self.var_count}, "
-            f"components={self.component_count}, terms={terms})"
-        )
+        return f"PolynomialVectorField(var_count={self.var_count}, terms={terms})"
 
 
 def build_generator(field: PolynomialVectorField, dictionary: Dictionary) -> np.ndarray:
@@ -142,8 +138,6 @@ def build_generator(field: PolynomialVectorField, dictionary: Dictionary) -> np.
             f"field over {field.var_count} variables does not match "
             f"dictionary over {dictionary.var_count}"
         )
-    if field.component_count != field.var_count:
-        raise ValueError("ODE right-hand side must have one component per variable")
 
     n_dic = len(dictionary)
     G = np.zeros((n_dic, n_dic))

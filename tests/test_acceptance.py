@@ -43,7 +43,7 @@ def duffing_snapshot_pairs(count, rng_seed):
     directions unexcited, where ridge and pseudoinverse solutions
     legitimately differ.
     """
-    fld = load_config("duffing").system.full_field()
+    fld = load_config("duffing").system.field
     rng = np.random.default_rng(rng_seed)
     X = rng.uniform(-1.5, 1.5, (count, 6))
     return [SnapshotPair(x, rk4_step(fld, x, 0.01)) for x in X]

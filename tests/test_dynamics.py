@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from koopseed.dynamics import (
     BlowUpError,
     CoupledSystem,
     Coupling,
-    diffusive_coupling,
     load_trajectory_csv,
     perturb_initial,
     rk4_step,
@@ -29,7 +30,7 @@ def harmonic_system():
 class TestRK4:
     def test_harmonic_single_step(self):
         sys_ = harmonic_system()
-        out = rk4_step(sys_.full_field(), np.array([1.0, 0.0]), 0.01)
+        out = rk4_step(sys_.field, np.array([1.0, 0.0]), 0.01)
         exact = np.array([np.cos(0.01), -np.sin(0.01)])
         assert np.linalg.norm(out - exact) <= 1e-10
 
@@ -46,7 +47,7 @@ class TestRK4:
     def test_fourth_order_convergence(self):
         # halving dt divides the harmonic-oscillator global error by ~16
         sys_ = harmonic_system()
-        fld = sys_.full_field()
+        fld = sys_.field
 
         def global_error(dt):
             steps = round(1.0 / dt)
@@ -173,25 +174,31 @@ class TestSampling:
             perturb_initial(np.zeros(2), 0.0, 0)
 
 
+def pair_of_zero_fields(*couplings, dims=(2, 2)):
+    subsystems = [PolynomialVectorField(d, [[]] * d) for d in dims]
+    return CoupledSystem(subsystems=subsystems, couplings=list(couplings), layout=VariableLayout(dims))
+
+
 class TestCoupling:
     def test_diffusive_field_values(self):
-        g = diffusive_coupling(2, 2, drive_coord=1)
-        out = g.evaluate(np.array([0.3, 9.0, 1.1, 9.0]))  # (x_i, x_j) stacked
-        assert np.allclose(out, [0.0, 1.1 - 0.3])
+        system = pair_of_zero_fields(Coupling(target=0, source=1))  # drives the last coordinate
+        out = system.field.evaluate(np.array([0.3, 9.0, 1.1, 9.0]))
+        assert np.array_equal(out, [0.0, 1.1 - 0.3, 0.0, 0.0])
+        observed = pair_of_zero_fields(Coupling(0, 1, strength=2.5, drive_coord=0, observed_coord=1))
+        out = observed.field.evaluate(np.array([0.3, 9.0, 1.1, 7.0]))
+        assert np.array_equal(out, [2.5 * (7.0 - 9.0), 0.0, 0.0, 0.0])
 
     def test_edge_contributions_antisymmetric(self):
         # diffusive force along i<->j cancels when summed across the edge
-        g = diffusive_coupling(2, 2, drive_coord=1)
+        system = pair_of_zero_fields(Coupling(0, 1), Coupling(1, 0))
         rng = np.random.default_rng(0)
         for _ in range(10):
-            xi, xj = rng.uniform(-2, 2, (2, 2))
-            fij = g.evaluate(np.concatenate([xi, xj]))[1]
-            fji = g.evaluate(np.concatenate([xj, xi]))[1]
-            assert fij == pytest.approx(-fji)
+            out = system.field.evaluate(rng.uniform(-2, 2, 4))
+            assert out[1] == -out[3]
 
     def test_full_field_includes_couplings(self):
         x = sample_initial([(-1.5, 1.5)] * 6, 5)
-        out = DUFFING.full_field().evaluate(x)
+        out = DUFFING.field.evaluate(x)
         # first coordinates are plain velocity pass-throughs
         assert out[0] == pytest.approx(x[1])
         d1 = DUFFING.subsystems[0].evaluate(x[:2])
@@ -201,12 +208,20 @@ class TestCoupling:
         assert out[3] == pytest.approx(d2[1] + (x[0] - x[2]) + (x[4] - x[2]))
 
     def test_zero_strength_decouples(self):
-        couplings = [Coupling(c.target, c.source, 0.0, c.field) for c in DUFFING.couplings]
+        couplings = [dataclasses.replace(c, strength=0.0) for c in DUFFING.couplings]
         system = CoupledSystem(DUFFING.subsystems, couplings, DUFFING.layout)
         x = sample_initial([(-1.5, 1.5)] * 6, 6)
-        out = system.full_field().evaluate(x)
+        out = system.field.evaluate(x)
         for s, f in enumerate(DUFFING.subsystems):
             assert np.allclose(out[2 * s : 2 * s + 2], f.evaluate(x[2 * s : 2 * s + 2]))
+
+    def test_replace_without_couplings_integrates_the_uncoupled_field(self):
+        x0 = np.linspace(-1, 1, 6)
+        simulate(DUFFING, x0, 1, 0.01)  # the coupled field is in use before the copy
+        uncoupled = dataclasses.replace(DUFFING, couplings=[])
+        alone = CoupledSystem(DUFFING.subsystems, [], DUFFING.layout)
+        assert np.array_equal(simulate(uncoupled, x0, 5, 0.01), simulate(alone, x0, 5, 0.01))
+        assert np.array_equal(uncoupled.field.evaluate(x0)[:2], DUFFING.subsystems[0].evaluate(x0[:2]))
 
     def test_vanderpol_field_values(self):
         f = load_config("vdp").system.subsystems[0]
@@ -214,19 +229,18 @@ class TestCoupling:
         expect = np.array([-0.4, 1.32 * (1 - 0.25) * (-0.4) - 0.5])
         assert np.allclose(f.evaluate(x), expect)
 
-    def test_coupling_shape_validation(self):
-        f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
-        bad = Coupling(0, 1, 1.0, diffusive_coupling(2, 3, drive_coord=1))
-        with pytest.raises(ValueError):
-            CoupledSystem(subsystems=[f, f], couplings=[bad], layout=VariableLayout((2, 2)))
-
     def test_coupling_indices_checked_for_python_callers(self):
-        f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
-        wrapped = Coupling(-1, 0, 1.0, diffusive_coupling(2, 2, drive_coord=1))
-        with pytest.raises(ValueError, match="coupling -1<-0: target -1"):
-            CoupledSystem(subsystems=[f, f], couplings=[wrapped], layout=VariableLayout((2, 2)))
-        with pytest.raises(ValueError, match="observed_coord 2"):
-            diffusive_coupling(3, 2, drive_coord=1, observed_coord=2)
+        with pytest.raises(ValueError, match=r"^coupling -1<-0: target -1 is not a subsystem index in 0\.\.1$"):
+            pair_of_zero_fields(Coupling(-1, 0))
+        with pytest.raises(
+            ValueError,
+            match="^coupling 0<-1: observed_coord 2 is not a coordinate of both the "
+            "3-variable target and the 2-variable source$",
+        ):
+            pair_of_zero_fields(Coupling(0, 1, observed_coord=2), dims=(3, 2))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match=f"^coupling 1<-0: strength {bad} is not finite$"):
+                pair_of_zero_fields(Coupling(1, 0, strength=bad))
 
 
 class TestTrajectoryCSV:

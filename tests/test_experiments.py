@@ -141,7 +141,15 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("observed_coord", -3), ("target", -1), ("target", 5), ("source", 3), ("drive_coord", 7)],
+        [
+            ("observed_coord", -3),
+            ("target", -1),
+            ("target", 5),
+            ("source", 3),
+            ("drive_coord", 7),
+            ("target", 0.6),
+            ("drive_coord", 1.5),
+        ],
     )
     def test_coupling_indices_are_range_checked(self, key, value):
         raw = tiny_config_dict()
@@ -174,6 +182,63 @@ class TestConfig:
         raw.update(train_burnin=60, sigmaa=5.0)
         with pytest.raises(ValueError, match="^config: unknown key 'sigmaa', 'train_burnin'$"):
             config_from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "where, path, key",
+        [
+            ("config", (), "degree"),
+            ("config", (), "subsystems"),
+            ("subsystem 1", ("subsystems", 1), "dim"),
+            ("subsystem 0 coordinate 1 term 0", ("subsystems", 0, "coordinates", 1, 0), "coeff"),
+            (r"coupling \?<-0", ("couplings", 1), "target"),
+        ],
+        ids=["config", "subsystems", "subsystem", "term", "coupling"],
+    )
+    def test_missing_keys_are_named(self, where, path, key):
+        raw = tiny_config_dict()
+        entry = raw
+        for k in path:
+            entry = entry[k]
+        del entry[key]
+        with pytest.raises(ValueError, match=f"^{where}: missing key '{key}'$"):
+            config_from_dict(raw)
+
+    def test_keys_with_a_default_may_be_left_out(self):
+        raw = tiny_config_dict()
+        for key in ("train_burn_in", "test_burn_in", "sigma", "max_pairs", "seeds", "couplings"):
+            del raw[key]
+        cfg = config_from_dict(raw)
+        assert (cfg.train_burn_in, cfg.test_burn_in, cfg.sigma, cfg.max_pairs, cfg.seeds) == (0, 0, 1.0, None, 1)
+        assert cfg.system.couplings == []
+        coupling = {"target": 1, "source": 0, "type": "diffusive"}
+        loaded = config_from_dict(tiny_config_dict(couplings=[coupling])).system.couplings[0]
+        assert (loaded.strength, loaded.drive_coord, loaded.observed_coord) == (1.0, None, 0)
+
+    @pytest.mark.parametrize("key, value", [("degree", 2.5), ("train_steps", 260.9), ("seeds", "2")])
+    def test_integer_fields_must_be_integral(self, key, value):
+        with pytest.raises(ValueError, match=f"^config: {key} {value!r} is not an integer$"):
+            config_from_dict(tiny_config_dict(**{key: value}))
+        cfg = config_from_dict(tiny_config_dict(degree=3.0, train_steps=260.0))
+        assert (cfg.degree, cfg.train_steps) == (3, 260) and type(cfg.degree) is int
+
+    def test_exponents_must_be_integral(self):
+        raw = tiny_config_dict()
+        raw["subsystems"][0]["coordinates"][1][0]["exponents"] = [0, 1.5]
+        with pytest.raises(
+            ValueError, match=r"^subsystem 0: coordinate 1 term 0: exponent 1\.5 is not an integer$"
+        ):
+            config_from_dict(raw)
+        raw["subsystems"][0]["coordinates"][1][0]["exponents"] = [0.0, 1.0]
+        assert config_from_dict(raw).system.subsystems[0].components[1][0][0] == (0, 1)
+
+    @pytest.mark.parametrize(
+        "bad", [(1.5, -1.5), (-1.5, float("inf")), (float("nan"), 1.0)], ids=["inverted", "inf", "nan"]
+    )
+    def test_init_ranges_must_be_finite_and_ordered(self, bad):
+        ranges = [[-1.5, 1.5]] * 4
+        ranges[2] = list(bad)
+        with pytest.raises(ValueError, match=r"^init range 2 .* must be finite with lo <= hi$"):
+            config_from_dict(tiny_config_dict(init_ranges=ranges))
 
     def test_override_revalidates(self, tiny_config):
         smaller = override_config(tiny_config, seeds=1)

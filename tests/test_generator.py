@@ -59,14 +59,14 @@ def duffing_recurrence_matrix(dictionary, delta, alpha, beta):
 
 @st.composite
 def polynomial_fields(draw):
-    """Fields over 1 to 4 variables with 1 to 3 output coordinates, terms of
-    top exponent 1, 2 or 3 and nonzero coefficients of either sign."""
+    """Fields over 1 to 4 variables (one component each), terms of top
+    exponent 1, 2 or 3 and nonzero coefficients of either sign."""
     var_count = draw(st.integers(1, 4))
     top = draw(st.sampled_from([1, 2, 3]))
     exponents = st.tuples(*[st.integers(0, top)] * var_count)
     coefficients = st.floats(-3.0, 3.0, allow_nan=False).filter(lambda c: c != 0.0)
     terms = st.lists(st.tuples(exponents, coefficients), max_size=5)
-    components = draw(st.lists(terms, min_size=1, max_size=3))
+    components = draw(st.lists(terms, min_size=var_count, max_size=var_count))
     return PolynomialVectorField(var_count, components)
 
 
@@ -110,7 +110,7 @@ class TestPolynomialVectorField:
         f = data.draw(polynomial_fields())
         flat = [m for terms in f.components for (m, _) in terms]
         assume(len(flat) >= 2)
-        coef = np.zeros((f.component_count, len(flat)))
+        coef = np.zeros((f.var_count, len(flat)))
         t = 0
         for coord, terms in enumerate(f.components):
             for _, c in terms:
@@ -250,8 +250,9 @@ class TestBuildGenerator:
         d = build_dictionary(2, 2)
         with pytest.raises(ValueError):
             build_generator(PolynomialVectorField(3, [[], [], []]), d)
-        with pytest.raises(ValueError):
-            build_generator(PolynomialVectorField(2, [[]]), d)
+        # a field with fewer components than variables is not built at all
+        with pytest.raises(ValueError, match="^1 components for 2 variables$"):
+            PolynomialVectorField(2, [[]])
 
 
 class TestLocalKoopman:
