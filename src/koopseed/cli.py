@@ -41,9 +41,10 @@ def _add_checkpoint_flags(parser):
 
 
 def _load(args):
-    """args.config with every parsed value named after a config field applied."""
+    """args.config with every given value named after a config field applied."""
     fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    overrides = {k: v for k, v in vars(args).items() if k in fields}
+    # argparse leaves an option that was not given at None
+    overrides = {k: v for k, v in vars(args).items() if k in fields and v is not None}
     return override_config(load_config(args.config), **overrides)
 
 

@@ -6,7 +6,7 @@ A Dictionary is the ordered set of all multi-indices up to a total-degree
 bound, which is the observable basis every other module works in.
 """
 
-import operator
+import numbers
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
@@ -21,13 +21,19 @@ _CHUNK_ROWS = 512
 
 def as_int(value, what: str) -> int:
     """``value`` as an int; a float counts only when it is integral (3.0 is
-    3, 2.5 is rejected rather than truncated). ``what`` names it in the error."""
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+    3, 2.5 is rejected rather than truncated), and a bool or a string does
+    not count. ``what`` names it in the error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and float(value).is_integer():
         return int(value)
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an integer") from None
+    raise ValueError(f"{what} {value!r} is not an integer")
+
+
+def as_float(value, what: str) -> float:
+    """``value`` as a float; it must be a real number, not a string or a
+    bool. ``what`` names it in the error."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"{what} {value!r} is not a number")
 
 
 class MonomialTable:
@@ -147,17 +153,17 @@ class Dictionary:
     """
 
     def __init__(self, var_count: int, max_degree: int):
-        if var_count < 1:
+        self.var_count = as_int(var_count, "var_count")
+        self.max_degree = as_int(max_degree, "max_degree")
+        if self.var_count < 1:
             raise ValueError("var_count must be >= 1")
-        if max_degree < 1:
+        if self.max_degree < 1:
             raise ValueError("max_degree must be >= 1")
-        self.var_count = int(var_count)
-        self.max_degree = int(max_degree)
         self.entries = _graded_lex_entries(self.var_count, self.max_degree)
         self._index = {m: i for i, m in enumerate(self.entries)}
         self._exponents = np.array(self.entries, dtype=np.int64)
         self._monomials = MonomialTable(self._exponents)
-        assert len(self.entries) == comb(var_count + max_degree, max_degree)
+        assert len(self.entries) == comb(self.var_count + self.max_degree, self.max_degree)
 
     def __len__(self):
         return len(self.entries)
@@ -229,7 +235,7 @@ class VariableLayout:
     subsystem_dims: tuple
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.subsystem_dims)
+        dims = tuple(as_int(d, "subsystem dimension") for d in self.subsystem_dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError("subsystem dimensions must be positive")
         object.__setattr__(self, "subsystem_dims", dims)

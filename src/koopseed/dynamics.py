@@ -5,11 +5,11 @@ fixed-step RK4 integrator, seeded initial-state sampling so that every
 dataset is exactly reproducible, and trajectory CSV input and output.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dictionary import VariableLayout, as_int
+from .dictionary import VariableLayout, as_float, as_int
 from .generator import PolynomialVectorField
 from .model import write_csv
 
@@ -48,25 +48,21 @@ class Coupling:
 
 @dataclass
 class CoupledSystem:
-    """Subsystem fields plus diffusive couplings over a shared variable layout.
+    """Subsystem fields plus diffusive couplings.
 
-    Construction checks every coupling against the layout and builds
-    ``field``, the polynomial field over all variables that RK4 integrates.
+    Construction derives ``layout`` from the subsystems, checks every
+    coupling against it and builds ``field``, the full field RK4 integrates.
     """
 
     subsystems: list
     couplings: list
-    layout: VariableLayout
+    layout: VariableLayout = field(init=False)
 
     def __post_init__(self):
-        dims, offsets = self.layout.subsystem_dims, self.layout.offsets
-        if len(self.subsystems) != len(dims):
-            raise ValueError("one subsystem field per layout block is required")
-        D = self.layout.total_vars
+        self.layout = VariableLayout(tuple(f.var_count for f in self.subsystems))
+        offsets, D = self.layout.offsets, self.layout.total_vars
         components = [[] for _ in range(D)]
         for i, f in enumerate(self.subsystems):
-            if f.var_count != dims[i]:
-                raise ValueError(f"subsystem {i} field does not match its layout block")
             for k, terms in enumerate(f.components):
                 for m, c in terms:
                     padded = [0] * D
@@ -91,6 +87,8 @@ class CoupledSystem:
         for role, index in (("target", target), ("source", source)):
             if not 0 <= index < len(dims):
                 raise ValueError(f"{where}: {role} {index} is not a subsystem index in 0..{len(dims) - 1}")
+        if target == source:
+            raise ValueError(f"{where}: target and source are the same subsystem")
         drive = dims[target] - 1 if cp.drive_coord is None else as_int(cp.drive_coord, f"{where}: drive_coord")
         if not 0 <= drive < dims[target]:
             raise ValueError(f"{where}: drive_coord {drive} is not a coordinate of the {dims[target]}-variable target")
@@ -100,7 +98,7 @@ class CoupledSystem:
                 f"{where}: observed_coord {observed} is not a coordinate of both the "
                 f"{dims[target]}-variable target and the {dims[source]}-variable source"
             )
-        strength = float(cp.strength)
+        strength = as_float(cp.strength, f"{where}: strength")
         if not np.isfinite(strength):
             raise ValueError(f"{where}: strength {strength} is not finite")
         return target, source, drive, observed, strength

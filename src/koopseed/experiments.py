@@ -16,11 +16,10 @@ from importlib import resources
 import numpy as np
 
 from .assembly import assemble_global
-from .dictionary import Dictionary, as_int, build_dictionary
+from .dictionary import Dictionary, as_float, as_int, build_dictionary
 from .dynamics import (
     CoupledSystem,
     Coupling,
-    VariableLayout,
     perturb_initial,
     sample_initial,
     simulate,
@@ -62,29 +61,42 @@ def derived_seed(root_seed: int, purpose: str, *key) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one benchmark run (system, sizes, seeds)."""
+    """Full description of one benchmark run (system, sizes, seeds), and the
+    config schema: a field with a default may be left out of a JSON config.
+    Construction converts every field by its declared type, then checks the
+    invariants between fields."""
 
     name: str
     system: CoupledSystem
     degree: int
     dt: float
     train_steps: int
-    train_burn_in: int
     test_count: int
     test_steps: int
-    test_burn_in: int
     perturb_radius: float
-    sigma: float
     checkpoint_stride: int
     nstep_horizon: int
     nstep_train_pairs: int
     spectrum_train_pairs: int
     init_ranges: tuple
     root_seed: int
-    seeds: int
+    train_burn_in: int = 0
+    test_burn_in: int = 0
+    sigma: float = 1.0
+    seeds: int = 1
     max_pairs: int | None = None
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value, what = getattr(self, f.name), f"config: {f.name}"
+            if f.type is str and not isinstance(value, str):
+                raise ValueError(f"{what} {value!r} is not a string")
+            elif f.type is float:
+                value = as_float(value, what)
+            elif f.type in (int, int | None) and value is not None:
+                value = as_int(value, what)
+            setattr(self, f.name, value)
+        self.init_ranges = tuple(_init_range(i, entry) for i, entry in enumerate(self.init_ranges))
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -139,8 +151,13 @@ class ExperimentConfig:
         return build_dictionary(self.system.dim, self.degree)
 
 
-# Config keys that may be left out, and the values they then take.
-_CONFIG_DEFAULTS = {"train_burn_in": 0, "test_burn_in": 0, "sigma": 1.0, "max_pairs": None, "seeds": 1, "couplings": ()}
+def _init_range(i: int, entry) -> tuple:
+    # one init_ranges entry as a (lo, hi) pair of floats
+    try:
+        lo, hi = entry
+    except (TypeError, ValueError):
+        raise ValueError(f"init range {i} {entry!r} is not a (lo, hi) pair") from None
+    return as_float(lo, f"init range {i}: lo"), as_float(hi, f"init range {i}: hi")
 
 
 def _check_keys(entry: dict, required, optional, where: str) -> None:
@@ -158,7 +175,7 @@ def _field_from_json(spec: dict, where: str) -> PolynomialVectorField:
     for c, coord in enumerate(spec["coordinates"]):
         for t, term in enumerate(coord):
             _check_keys(term, ("exponents", "coeff"), (), f"{where} coordinate {c} term {t}")
-        components.append([(term["exponents"], float(term["coeff"])) for term in coord])
+        components.append([(term["exponents"], term["coeff"]) for term in coord])
     try:
         return PolynomialVectorField(as_int(spec["dim"], "dim"), components)
     except ValueError as exc:
@@ -174,40 +191,16 @@ def _coupling_from_json(spec: dict) -> Coupling:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from parsed JSON. Unknown keys, missing keys
-    without a schema default and non-integral integers are errors."""
-    known = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"system"} | {"subsystems", "couplings"}
-    _check_keys(raw, known - set(_CONFIG_DEFAULTS), _CONFIG_DEFAULTS, "config")
-    raw = {**_CONFIG_DEFAULTS, **raw}
+    """Build an ExperimentConfig from parsed JSON. Unknown keys and missing keys without
+    a schema default are errors; the constructors convert and check the values."""
+    fields = [f for f in dataclasses.fields(ExperimentConfig) if f.name != "system"]
+    required = [f.name for f in fields if f.default is dataclasses.MISSING] + ["subsystems"]
+    optional = [f.name for f in fields if f.default is not dataclasses.MISSING] + ["couplings"]
+    _check_keys(raw, required, optional, "config")
+    rest = {k: v for k, v in raw.items() if k not in ("subsystems", "couplings")}
     subsystems = [_field_from_json(s, f"subsystem {i}") for i, s in enumerate(raw["subsystems"])]
-    layout = VariableLayout(tuple(f.var_count for f in subsystems))
-    couplings = [_coupling_from_json(c) for c in raw["couplings"]]
-    system = CoupledSystem(subsystems=subsystems, couplings=couplings, layout=layout)
-
-    def integer(key):
-        return as_int(raw[key], f"config: {key}")
-
-    return ExperimentConfig(
-        name=str(raw["name"]),
-        system=system,
-        degree=integer("degree"),
-        dt=float(raw["dt"]),
-        train_steps=integer("train_steps"),
-        train_burn_in=integer("train_burn_in"),
-        test_count=integer("test_count"),
-        test_steps=integer("test_steps"),
-        test_burn_in=integer("test_burn_in"),
-        perturb_radius=float(raw["perturb_radius"]),
-        sigma=float(raw["sigma"]),
-        checkpoint_stride=integer("checkpoint_stride"),
-        max_pairs=None if raw["max_pairs"] is None else integer("max_pairs"),
-        nstep_horizon=integer("nstep_horizon"),
-        nstep_train_pairs=integer("nstep_train_pairs"),
-        spectrum_train_pairs=integer("spectrum_train_pairs"),
-        init_ranges=tuple((float(lo), float(hi)) for lo, hi in raw["init_ranges"]),
-        root_seed=integer("root_seed"),
-        seeds=integer("seeds"),
-    )
+    couplings = [_coupling_from_json(c) for c in raw.get("couplings", [])]
+    return ExperimentConfig(system=CoupledSystem(subsystems, couplings), **rest)
 
 
 def bundled_preset_names() -> list:
@@ -230,9 +223,8 @@ def load_config(name_or_path: str) -> ExperimentConfig:
 
 
 def override_config(config: ExperimentConfig, **changes) -> ExperimentConfig:
-    """Return a copy with the given fields replaced (rechecks invariants)."""
-    changes = {k: v for k, v in changes.items() if v is not None}
-    return dataclasses.replace(config, **changes) if changes else config
+    """Return a copy with the given fields replaced, checked like a new config."""
+    return dataclasses.replace(config, **changes)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ the subsystem without any trajectory data.
 
 import numpy as np
 
-from .dictionary import Dictionary, MonomialTable, as_int
+from .dictionary import Dictionary, MonomialTable, as_float, as_int
 from .model import KoopmanModel
 
 
@@ -85,7 +85,7 @@ class PolynomialVectorField:
                     )
                 if any(e < 0 for e in m):
                     raise ValueError(f"coordinate {coord}: negative exponent in {m}")
-                coeff = float(coeff)
+                coeff = as_float(coeff, f"coordinate {coord} term {t}: coeff")
                 if not np.isfinite(coeff):
                     raise ValueError(f"coordinate {coord}: non-finite coefficient")
                 acc[m] = acc.get(m, 0.0) + coeff

@@ -141,6 +141,16 @@ def test_layout_offsets():
         VariableLayout((2, 0))
 
 
+def test_sizes_must_be_integers_not_truncated():
+    assert VariableLayout((2.0, 1)).subsystem_dims == (2, 1)
+    with pytest.raises(ValueError, match=r"^subsystem dimension 1\.5 is not an integer$"):
+        VariableLayout((2, 1.5))
+    with pytest.raises(ValueError, match=r"^var_count 2\.5 is not an integer$"):
+        Dictionary(2.5, 3)
+    with pytest.raises(ValueError, match="^max_degree True is not an integer$"):
+        Dictionary(2, True)
+
+
 def test_embed_zero_pads_into_subsystem_slots():
     layout = VariableLayout((2, 2))
     glob = build_dictionary(4, 3)

@@ -24,7 +24,7 @@ DUFFING = load_config("duffing").system
 
 def harmonic_system():
     f = PolynomialVectorField(2, [[((0, 1), 1.0)], [((1, 0), -1.0)]])
-    return CoupledSystem(subsystems=[f], couplings=[], layout=VariableLayout((2,)))
+    return CoupledSystem(subsystems=[f], couplings=[])
 
 
 class TestRK4:
@@ -90,7 +90,7 @@ class TestSimulate:
 
     def test_blow_up_reports_step(self):
         f = PolynomialVectorField(1, [[((2,), 1.0)]])
-        sys_ = CoupledSystem(subsystems=[f], couplings=[], layout=VariableLayout((1,)))
+        sys_ = CoupledSystem(subsystems=[f], couplings=[])
         with pytest.raises(BlowUpError) as info, pytest.warns(RuntimeWarning, match="overflow"):
             simulate(sys_, [5.0], 1000, 0.5)
         assert info.value.step is not None
@@ -176,10 +176,14 @@ class TestSampling:
 
 def pair_of_zero_fields(*couplings, dims=(2, 2)):
     subsystems = [PolynomialVectorField(d, [[]] * d) for d in dims]
-    return CoupledSystem(subsystems=subsystems, couplings=list(couplings), layout=VariableLayout(dims))
+    return CoupledSystem(subsystems=subsystems, couplings=list(couplings))
 
 
 class TestCoupling:
+    def test_layout_is_derived_from_the_subsystems(self):
+        assert pair_of_zero_fields(Coupling(0, 1), dims=(2, 3)).layout == VariableLayout((2, 3))
+        assert DUFFING.layout == VariableLayout((2, 2, 2))
+
     def test_diffusive_field_values(self):
         system = pair_of_zero_fields(Coupling(target=0, source=1))  # drives the last coordinate
         out = system.field.evaluate(np.array([0.3, 9.0, 1.1, 9.0]))
@@ -209,7 +213,7 @@ class TestCoupling:
 
     def test_zero_strength_decouples(self):
         couplings = [dataclasses.replace(c, strength=0.0) for c in DUFFING.couplings]
-        system = CoupledSystem(DUFFING.subsystems, couplings, DUFFING.layout)
+        system = CoupledSystem(DUFFING.subsystems, couplings)
         x = sample_initial([(-1.5, 1.5)] * 6, 6)
         out = system.field.evaluate(x)
         for s, f in enumerate(DUFFING.subsystems):
@@ -219,7 +223,7 @@ class TestCoupling:
         x0 = np.linspace(-1, 1, 6)
         simulate(DUFFING, x0, 1, 0.01)  # the coupled field is in use before the copy
         uncoupled = dataclasses.replace(DUFFING, couplings=[])
-        alone = CoupledSystem(DUFFING.subsystems, [], DUFFING.layout)
+        alone = CoupledSystem(DUFFING.subsystems, [])
         assert np.array_equal(simulate(uncoupled, x0, 5, 0.01), simulate(alone, x0, 5, 0.01))
         assert np.array_equal(uncoupled.field.evaluate(x0)[:2], DUFFING.subsystems[0].evaluate(x0[:2]))
 
@@ -241,6 +245,12 @@ class TestCoupling:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match=f"^coupling 1<-0: strength {bad} is not finite$"):
                 pair_of_zero_fields(Coupling(1, 0, strength=bad))
+        with pytest.raises(ValueError, match="^coupling 1<-0: strength 'strong' is not a number$"):
+            pair_of_zero_fields(Coupling(1, 0, strength="strong"))
+
+    def test_self_coupling_is_rejected(self):
+        with pytest.raises(ValueError, match="^coupling 0<-0: target and source are the same subsystem$"):
+            pair_of_zero_fields(Coupling(0, 0))
 
 
 class TestTrajectoryCSV:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -214,12 +215,60 @@ class TestConfig:
         loaded = config_from_dict(tiny_config_dict(couplings=[coupling])).system.couplings[0]
         assert (loaded.strength, loaded.drive_coord, loaded.observed_coord) == (1.0, None, 0)
 
-    @pytest.mark.parametrize("key, value", [("degree", 2.5), ("train_steps", 260.9), ("seeds", "2")])
+    @pytest.mark.parametrize("key, value", [("degree", 2.5), ("train_steps", 260.9), ("seeds", "2"), ("degree", True)])
     def test_integer_fields_must_be_integral(self, key, value):
         with pytest.raises(ValueError, match=f"^config: {key} {value!r} is not an integer$"):
             config_from_dict(tiny_config_dict(**{key: value}))
         cfg = config_from_dict(tiny_config_dict(degree=3.0, train_steps=260.0))
         assert (cfg.degree, cfg.train_steps) == (3, 260) and type(cfg.degree) is int
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("degree", 2.5, "config: degree 2.5 is not an integer"),
+            ("train_steps", 260.9, "config: train_steps 260.9 is not an integer"),
+            ("seeds", 1.5, "config: seeds 1.5 is not an integer"),
+            ("root_seed", 3.7, "config: root_seed 3.7 is not an integer"),
+            ("dt", "fast", "config: dt 'fast' is not a number"),
+            ("sigma", "x", "config: sigma 'x' is not a number"),
+            ("dt", True, "config: dt True is not a number"),
+            ("name", None, "config: name None is not a string"),
+            (
+                "init_ranges",
+                [[-1.5, 1.5]] + [[-1.5, 1.5, 0.0]] * 3,
+                "init range 1 [-1.5, 1.5, 0.0] is not a (lo, hi) pair",
+            ),
+        ],
+        ids=["degree", "train_steps", "seeds", "root_seed", "dt", "sigma", "dt-bool", "name", "init_ranges"],
+    )
+    def test_json_and_override_check_values_alike(self, tiny_config, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(tiny_config_dict(**{key: value}))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            override_config(tiny_config, **{key: value})
+
+    @pytest.mark.parametrize(
+        "path, key, value, message",
+        [
+            (("couplings", 1), "strength", "strong", "coupling 1<-0: strength 'strong' is not a number"),
+            (
+                ("subsystems", 0, "coordinates", 1, 0),
+                "coeff",
+                "x",
+                "subsystem 0: coordinate 1 term 0: coeff 'x' is not a number",
+            ),
+            (("couplings", 1), "target", 0, "coupling 0<-0: target and source are the same subsystem"),
+        ],
+        ids=["strength", "coeff", "self-coupling"],
+    )
+    def test_nested_values_are_named_by_place(self, path, key, value, message):
+        raw = tiny_config_dict()
+        entry = raw
+        for k in path:
+            entry = entry[k]
+        entry[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(raw)
 
     def test_exponents_must_be_integral(self):
         raw = tiny_config_dict()
@@ -252,6 +301,7 @@ class TestConfig:
         assert capped.checkpoints() == [130]
         below_stride = override_config(tiny_config, max_pairs=100)
         assert below_stride.checkpoints() == [100]
+        assert override_config(capped, max_pairs=None).checkpoints() == [130, 260]
 
     def test_derived_seed_is_stable(self):
         a = derived_seed(7, "train-init", 0)

@@ -1,6 +1,8 @@
-"""The README's library quick start, the package's public names and the
-names the benchmark hooks stay in step with the API."""
+"""The README's library quick start and override table, the package's public
+names and the names the benchmark hooks stay in step with the API."""
 
+import argparse
+import dataclasses
 import importlib.util
 import os
 import re
@@ -9,6 +11,8 @@ import sys
 from pathlib import Path
 
 import koopseed
+from koopseed.cli import build_parser
+from koopseed.experiments import ExperimentConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -34,6 +38,30 @@ def test_readme_quick_start_runs():
     namespace = {}
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["x_forecast"].shape == (6,)
+
+
+def _readme_overrides():
+    # subcommand -> {(flag, config field)} from the README's override table;
+    # a flag sets the field of its own name unless the field follows it
+    table = README.read_text().split("| subcommand | overrides |", 1)[1].split("\n\n", 1)[0]
+    rows = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            names, overrides = line.strip("|").split("|")
+            flags = re.findall(r"`(--[\w-]+)`(?: \(`(\w+)`\))?", overrides)
+            for name in re.findall(r"`([\w-]+)`", names):
+                rows[name] = {(flag, dest or flag[2:].replace("-", "_")) for flag, dest in flags}
+    return rows
+
+
+def test_readme_override_table_matches_the_cli():
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+    parsed = {
+        name: {(a.option_strings[0], a.dest) for a in sub._actions if a.dest in fields}
+        for name, sub in commands.items()
+    }
+    assert _readme_overrides() == parsed
 
 
 def test_all_names_resolve():
