@@ -19,9 +19,8 @@ def assemble_global(
 ) -> KoopmanModel:
     """Embed local Koopman matrices into the global dictionary.
 
-    The (constant, constant) entry is claimed by every subsystem; it is
-    written once as exactly 1. A local matrix must carry either 1 (a derived
-    model) or 0 (an unseeded placeholder) there, anything else is rejected.
+    The (constant, constant) entry is claimed by every subsystem, so each
+    local matrix must carry exactly 1 there.
     All remaining entries come straight from the local matrices, so extracting
     a subsystem's index block recovers its local matrix bit-for-bit.
     """
@@ -42,12 +41,10 @@ def assemble_global(
                 f"subsystem {i}: local max_degree {model.dictionary.max_degree} "
                 f"!= global {global_dict.max_degree}"
             )
-        k00 = model.matrix[0, 0]
-        if k00 not in (0.0, 1.0):
+        if model.matrix[0, 0] != 1.0:
             raise ValueError(
-                f"subsystem {i}: constant-to-constant entry is {k00}, expected 0 or 1"
+                f"subsystem {i}: constant-to-constant entry is {model.matrix[0, 0]}, expected 1"
             )
         mapping = embed_indices(model.dictionary, layout, i, global_dict)
         matrix[np.ix_(mapping, mapping)] = model.matrix
-    matrix[0, 0] = 1.0
     return KoopmanModel(global_dict, matrix)

@@ -121,12 +121,9 @@ def _cmd_train_batch(args):
 
 def _print_summary(summary, label):
     print(f"{label}: checkpoint_or_n  " + "  ".join(f"{m}(mean/std)" for m in METHODS))
-    for key in summary.keys():
-        cells = []
-        for method in METHODS:
-            row = summary.get(key, method)
-            cells.append(f"{row.mean:.6g}/{row.std:.6g}")
-        print(f"{label}: {key:>6}  " + "  ".join(cells))
+    for key, means, stds in zip(summary.keys, summary.mean, summary.std):
+        cells = "  ".join(f"{m:.6g}/{s:.6g}" for m, s in zip(means, stds))
+        print(f"{label}: {key:>6}  {cells}")
 
 
 def _cmd_eval_onestep(args):

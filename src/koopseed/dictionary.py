@@ -36,6 +36,14 @@ def as_float(value, what: str) -> float:
     raise ValueError(f"{what} {value!r} is not a number")
 
 
+def as_list(value, what: str) -> list:
+    """``value`` as a list; it must be a list, a tuple or an array, not a
+    scalar, a string or a mapping. ``what`` names it in the error."""
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return list(value)
+    raise ValueError(f"{what} {value!r} is not a list")
+
+
 class MonomialTable:
     """Evaluates a fixed list of monomials, built once per exponent list.
 
@@ -255,10 +263,6 @@ class VariableLayout:
     @property
     def subsystem_count(self) -> int:
         return len(self.subsystem_dims)
-
-    def variables_of(self, subsystem: int) -> range:
-        off = self.offsets
-        return range(off[subsystem], off[subsystem + 1])
 
 
 def embed_indices(

@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .assembly import assemble_global
-from .dictionary import Dictionary, as_float, as_int, build_dictionary
+from .dictionary import Dictionary, as_float, as_int, as_list, build_dictionary
 from .dynamics import (
     CoupledSystem,
     Coupling,
@@ -96,7 +96,8 @@ class ExperimentConfig:
             elif f.type in (int, int | None) and value is not None:
                 value = as_int(value, what)
             setattr(self, f.name, value)
-        self.init_ranges = tuple(_init_range(i, entry) for i, entry in enumerate(self.init_ranges))
+        ranges = as_list(self.init_ranges, "config: init_ranges")
+        self.init_ranges = tuple(_init_range(i, entry) for i, entry in enumerate(ranges))
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
         if not (np.isfinite(self.dt) and self.dt > 0):
@@ -161,6 +162,8 @@ def _init_range(i: int, entry) -> tuple:
 
 
 def _check_keys(entry: dict, required, optional, where: str) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where}: {entry!r} is not a record")
     unknown = sorted(set(entry) - set(required) - set(optional))
     if unknown:
         raise ValueError(f"{where}: unknown key {', '.join(map(repr, unknown))}")
@@ -172,8 +175,8 @@ def _check_keys(entry: dict, required, optional, where: str) -> None:
 def _field_from_json(spec: dict, where: str) -> PolynomialVectorField:
     _check_keys(spec, ("dim", "coordinates"), (), where)
     components = []
-    for c, coord in enumerate(spec["coordinates"]):
-        for t, term in enumerate(coord):
+    for c, coord in enumerate(as_list(spec["coordinates"], f"{where}: coordinates")):
+        for t, term in enumerate(as_list(coord, f"{where}: coordinate {c}")):
             _check_keys(term, ("exponents", "coeff"), (), f"{where} coordinate {c} term {t}")
         components.append([(term["exponents"], term["coeff"]) for term in coord])
     try:
@@ -183,7 +186,8 @@ def _field_from_json(spec: dict, where: str) -> PolynomialVectorField:
 
 
 def _coupling_from_json(spec: dict) -> Coupling:
-    where = f"coupling {spec.get('target', '?')}<-{spec.get('source', '?')}"
+    record = spec if isinstance(spec, dict) else {}
+    where = f"coupling {record.get('target', '?')}<-{record.get('source', '?')}"
     _check_keys(spec, ("target", "source"), ("strength", "type", "drive_coord", "observed_coord"), where)
     if spec.get("type") != "diffusive":
         raise ValueError(f"{where}: type {spec.get('type')!r} is not 'diffusive'")
@@ -198,8 +202,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     optional = [f.name for f in fields if f.default is not dataclasses.MISSING] + ["couplings"]
     _check_keys(raw, required, optional, "config")
     rest = {k: v for k, v in raw.items() if k not in ("subsystems", "couplings")}
-    subsystems = [_field_from_json(s, f"subsystem {i}") for i, s in enumerate(raw["subsystems"])]
-    couplings = [_coupling_from_json(c) for c in raw.get("couplings", [])]
+    subsystems = [
+        _field_from_json(s, f"subsystem {i}")
+        for i, s in enumerate(as_list(raw["subsystems"], "config: subsystems"))
+    ]
+    couplings = [_coupling_from_json(c) for c in as_list(raw.get("couplings", []), "config: couplings")]
     return ExperimentConfig(system=CoupledSystem(subsystems, couplings), **rest)
 
 
@@ -367,70 +374,48 @@ def spectrum_of(model: KoopmanModel) -> np.ndarray:
 
 
 @dataclass
-class SummaryRow:
-    key: int  # checkpoint pair count, or forecast horizon n
-    method: str
-    mean: float
-    std: float
-    count: int
-
-
-@dataclass
 class ErrorSummary:
-    """Per-checkpoint (or per-horizon) error statistics for each method."""
+    """Per-checkpoint (or per-horizon) error statistics of each method: row i
+    of the (len(keys), len(METHODS)) arrays belongs to ``keys[i]``, column j
+    to ``METHODS[j]``."""
 
-    rows: list
-
-    def get(self, key: int, method: str) -> SummaryRow:
-        for row in self.rows:
-            if row.key == key and row.method == method:
-                return row
-        raise KeyError((key, method))
-
-    def keys(self) -> list:
-        seen = []
-        for row in self.rows:
-            if row.key not in seen:
-                seen.append(row.key)
-        return seen
+    keys: list  # checkpoint pair counts, or forecast horizons n
+    mean: np.ndarray
+    std: np.ndarray
+    count: np.ndarray
 
     def write_csv(self, path) -> None:
-        rows = ((r.key, r.method, r.mean, r.std, r.count) for r in self.rows)
+        rows = (
+            (key, method, self.mean[i, j], self.std[i, j], self.count[i, j])
+            for i, key in enumerate(self.keys)
+            for j, method in enumerate(METHODS)
+        )
         write_csv(path, "checkpoint_or_n,method,mean,std,count", rows)
 
 
-def _summary_from_errors(per_key_errors: dict) -> ErrorSummary:
-    rows = []
-    for key in sorted(per_key_errors):
-        for method in METHODS:
-            err = per_key_errors[key][method]
-            rows.append(
-                SummaryRow(
-                    key=key,
-                    method=method,
-                    mean=float(np.mean(err)),
-                    std=float(np.std(err)),
-                    count=int(err.size),
-                )
-            )
-    return ErrorSummary(rows)
+def _by_cell(reduce, values: np.ndarray) -> np.ndarray:
+    """``reduce(values[i, j])`` for every (key, method) cell. A whole-array
+    reduction would hold temporaries as large as ``values``, and over an axis
+    it adds in another order than over each cell's own contiguous array."""
+    out = np.empty(values.shape[:2])
+    for cell in np.ndindex(out.shape):
+        out[cell] = reduce(values[cell])
+    return out
+
+
+def _summary_from_errors(keys: list, errors: np.ndarray) -> ErrorSummary:
+    count = np.full(errors.shape[:2], errors[0, 0].size)
+    return ErrorSummary(keys, _by_cell(np.mean, errors), _by_cell(np.std, errors), count)
 
 
 def _aggregate_summaries(per_seed: list) -> ErrorSummary:
-    """Seed-averaged summary: mean of per-seed means and of per-seed stds."""
-    rows = []
-    for template in per_seed[0].rows:
-        rs = [s.get(template.key, template.method) for s in per_seed]
-        rows.append(
-            SummaryRow(
-                key=template.key,
-                method=template.method,
-                mean=float(np.mean([r.mean for r in rs])),
-                std=float(np.mean([r.std for r in rs])),
-                count=int(sum(r.count for r in rs)),
-            )
-        )
-    return ErrorSummary(rows)
+    """Seed-averaged summary: mean of per-seed means and of per-seed stds,
+    and the pooled counts. Each cell averages its seeds as one contiguous
+    vector, in the order ``np.mean`` of a list of the seeds' values adds."""
+    means = np.stack([s.mean for s in per_seed], axis=-1)
+    stds = np.stack([s.std for s in per_seed], axis=-1)
+    count = sum(s.count for s in per_seed)
+    return ErrorSummary(per_seed[0].keys, _by_cell(np.mean, means), _by_cell(np.mean, stds), count)
 
 
 def _write_notes(path, notes: list) -> None:
@@ -451,9 +436,10 @@ def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
     write_csv(path, "re,im,abs", ((mu.real, mu.imag, abs(mu)) for mu in eigenvalues))
 
 
-def _onestep_scores(config, dictionary, s, data, models, notes) -> dict:
-    """One seed's one-step errors of both methods at every checkpoint,
-    {checkpoint: {method: (test_count, length-1)}}.
+def _onestep_scores(config, dictionary, s, data, models, notes) -> tuple:
+    """One seed's one-step errors of both methods at every checkpoint, as
+    (keys, errors): keys are the checkpoints, and errors[i, j] holds the
+    (test_count, length-1) errors of METHODS[j] at keys[i].
 
     The forecasts are formed first. The test set is then scored in blocks of
     whole trajectories of at most ``_SCORE_BLOCK_STATES`` states (one
@@ -465,40 +451,38 @@ def _onestep_scores(config, dictionary, s, data, models, notes) -> dict:
     """
     test_states = data.test_states
     count, length = test_states.shape[:2]
+    keys = config.checkpoints()
+    errors = np.empty((len(keys), len(METHODS), count, length - 1))
     forecasts = {}
-    per_key = {}
-    for cp in config.checkpoints():
-        per_key[cp] = {}
-        for method in METHODS:
+    for i, cp in enumerate(keys):
+        for j, method in enumerate(METHODS):
             mats, path = forecast_matrices(models[method][cp], [1])
             if path != "spectral":
                 notes.append(f"seed={s} checkpoint={cp} method={method} forecast-path={path}")
-            forecasts[cp, method] = mats[1]
-            per_key[cp][method] = np.empty((count, length - 1))
+            forecasts[i, j] = mats[1]
     step = max(1, _SCORE_BLOCK_STATES // length)
     for lo in range(0, count, step):
         states = test_states[lo : lo + step]
         psi = dictionary.evaluate(states)
-        for (cp, method), forecast in forecasts.items():
-            per_key[cp][method][lo : lo + step] = onestep_errors(forecast, psi, states)
-    return per_key
+        for cell, forecast in forecasts.items():
+            errors[cell][lo : lo + step] = onestep_errors(forecast, psi, states)
+    return keys, errors
 
 
-def _nstep_scores(config, dictionary, s, data, models, notes) -> dict:
-    """One seed's n-step errors, n = 1..horizon, of both methods trained on
-    ``nstep_train_pairs`` pairs, {n: {method: (test_count,)}}."""
+def _nstep_scores(config, dictionary, s, data, models, notes) -> tuple:
+    """One seed's n-step errors of both methods trained on
+    ``nstep_train_pairs`` pairs, as (keys, errors): keys are n = 1..horizon,
+    and errors[n-1, j] holds the (test_count,) errors of METHODS[j]."""
     pairs = config.nstep_train_pairs
-    horizon = config.nstep_horizon
+    keys = list(range(1, config.nstep_horizon + 1))
     psi0 = dictionary.evaluate(data.test_states[:, 0, :])
-    per_key = {n: {} for n in range(1, horizon + 1)}
-    for method in METHODS:
-        mats, path = forecast_matrices(models[method][pairs], range(1, horizon + 1))
+    errors = np.empty((len(keys), len(METHODS), psi0.shape[0]))
+    for j, method in enumerate(METHODS):
+        mats, path = forecast_matrices(models[method][pairs], keys)
         if path != "spectral":
             notes.append(f"seed={s} pairs={pairs} method={method} forecast-path={path}")
-        errs = nstep_errors(mats, psi0, data.test_states, horizon)
-        for n in per_key:
-            per_key[n][method] = errs[n - 1]
-    return per_key
+        errors[:, j] = nstep_errors(mats, psi0, data.test_states, len(keys))
+    return keys, errors
 
 
 # Scored stage -> (one seed's scorer, raw CSV header).
@@ -508,14 +492,13 @@ _SCORED = {
 }
 
 
-def _write_raw(path, header: str, per_key: dict, method: str) -> None:
-    """One row per error: key, trajectory (from 0), further axes (from 1), error."""
-    keys = sorted(per_key)
-    shape = per_key[keys[0]][method].shape
-    index = np.indices(shape).reshape(len(shape), -1)
+def _write_raw(path, header: str, keys: list, errors: np.ndarray) -> None:
+    """One row per error: key, trajectory (from 0), further axes (from 1),
+    error; errors[i] holds the errors of keys[i]."""
+    index = np.indices(errors.shape[1:]).reshape(errors.ndim - 1, -1)
     index[1:] += 1
     columns = index.tolist()
-    rows = (zip(itertools.repeat(k), *columns, per_key[k][method].ravel().tolist()) for k in keys)
+    rows = (zip(itertools.repeat(k), *columns, e.ravel().tolist()) for k, e in zip(keys, errors))
     write_csv(path, header, itertools.chain.from_iterable(rows))
 
 
@@ -558,16 +541,16 @@ def run_experiments(
         with np.errstate(over="ignore", invalid="ignore"):  # forecast blow-ups are data
             for stage in scored:
                 score, header = _SCORED[stage]
-                per_key = score(config, dictionary, s, data, models, notes[stage])
-                summary = _summary_from_errors(per_key)
+                keys, errors = score(config, dictionary, s, data, models, notes[stage])
+                summary = _summary_from_errors(keys, errors)
                 per_seed[stage].append(summary)
                 if out_dir is None:
                     continue
                 summary.write_csv(os.path.join(out_dir, f"{stage}_summary_seed{s}.csv"))
                 if write_raw:
-                    for method in METHODS:
+                    for j, method in enumerate(METHODS):
                         path = os.path.join(out_dir, f"{stage}_raw_seed{s}_{method}.csv")
-                        _write_raw(path, header, per_key, method)
+                        _write_raw(path, header, keys, errors[:, j])
         if "spectrum" in stages:
             for method in METHODS:
                 mu = spectrum_of(models[method][spectrum_pairs])

@@ -9,7 +9,7 @@ the subsystem without any trajectory data.
 
 import numpy as np
 
-from .dictionary import Dictionary, MonomialTable, as_float, as_int
+from .dictionary import Dictionary, MonomialTable, as_float, as_int, as_list
 from .model import KoopmanModel
 
 
@@ -77,7 +77,8 @@ class PolynomialVectorField:
         for coord, terms in enumerate(components):
             acc = {}
             for t, (exponents, coeff) in enumerate(terms):
-                m = tuple(as_int(e, f"coordinate {coord} term {t}: exponent") for e in exponents)
+                where = f"coordinate {coord} term {t}"
+                m = tuple(as_int(e, f"{where}: exponent") for e in as_list(exponents, f"{where}: exponents"))
                 if len(m) != self.var_count:
                     raise ValueError(
                         f"coordinate {coord}: exponent vector {m} has length "
@@ -85,7 +86,7 @@ class PolynomialVectorField:
                     )
                 if any(e < 0 for e in m):
                     raise ValueError(f"coordinate {coord}: negative exponent in {m}")
-                coeff = as_float(coeff, f"coordinate {coord} term {t}: coeff")
+                coeff = as_float(coeff, f"{where}: coeff")
                 if not np.isfinite(coeff):
                     raise ValueError(f"coordinate {coord}: non-finite coefficient")
                 acc[m] = acc.get(m, 0.0) + coeff

@@ -179,30 +179,31 @@ def preset_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_5_duffing_onestep_trend(preset_results):
     """Seed-averaged one-step error: proposed below EDMD at 500..2000 pairs."""
     summary = preset_results("duffing")["onestep"]
-    rows = {
-        cp: (summary.get(cp, "proposed").mean, summary.get(cp, "edmd").mean)
-        for cp in [500, 1000, 1500, 2000]
-    }
+    means = dict(zip(summary.keys, summary.mean.tolist()))
+    rows = {cp: tuple(means[cp]) for cp in [500, 1000, 1500, 2000]}
     strict = all(rows[cp][0] < rows[cp][1] for cp in (500, 1000))
     loose = all(rows[cp][0] <= rows[cp][1] for cp in (1500, 2000))
     detail = " ".join(f"{cp}:{p:.3e}<{e:.3e}" for cp, (p, e) in rows.items())
     assert report("5 duffing one-step trend", strict and loose, detail)
 
 
+@pytest.mark.slow
 def test_criterion_6_vdp_onestep_trend(preset_results):
     """Seed-averaged one-step error: proposed below EDMD through 2500 pairs,
     means within a factor of 2 from 3000 pairs on."""
     summary = preset_results("vdp")["onestep"]
+    means = dict(zip(summary.keys, summary.mean.tolist()))
     below = {}
     for cp in (500, 1000, 1500, 2000, 2500):
-        p, e = summary.get(cp, "proposed").mean, summary.get(cp, "edmd").mean
+        p, e = means[cp]
         below[cp] = (p < e, p, e)
     within = {}
     for cp in (3000, 3500, 4000, 4500, 5000):
-        p, e = summary.get(cp, "proposed").mean, summary.get(cp, "edmd").mean
+        p, e = means[cp]
         ratio = max(p, e) / min(p, e)
         within[cp] = (ratio <= 2.0, ratio, p, e)
     ok = all(v[0] for v in below.values()) and all(v[0] for v in within.values())
@@ -219,20 +220,19 @@ def test_criterion_6_vdp_onestep_trend(preset_results):
     assert report("6 vdp one-step trend", ok, detail)
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize("preset_name", ["duffing", "vdp"])
 def test_criterion_7_nstep_trend(preset_results, preset_name):
     """Seed-averaged n-step error: proposed <= EDMD on >= 90 of 100 horizons."""
     summary = preset_results(preset_name)["nstep"]
-    wins = sum(
-        1
-        for n in summary.keys()
-        if summary.get(n, "proposed").mean <= summary.get(n, "edmd").mean
-    )
+    means = dict(zip(summary.keys, summary.mean.tolist()))
+    wins = sum(1 for p, e in means.values() if p <= e)
     assert report(
         f"7 {preset_name} n-step trend", wins >= 90, f"proposed<=edmd at {wins}/100 horizons"
     )
 
 
+@pytest.mark.slow
 @pytest.mark.parametrize(
     "preset_name,pair_count", [("duffing", 2000), ("vdp", 1000)]
 )
@@ -264,6 +264,7 @@ def test_criterion_9_rk4_order():
     assert report("9 RK4 convergence order", 12.0 <= ratio <= 20.0, f"ratio={ratio:.2f}")
 
 
+@pytest.mark.slow
 def test_criterion_10_reproduce_determinism(tmp_path):
     """`reproduce duffing --seeds 1` twice yields byte-identical CSVs."""
     from koopseed.cli import main

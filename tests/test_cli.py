@@ -126,6 +126,20 @@ def test_eval_nstep_cli(tiny_path, tmp_path):
     assert len(lines) == 1 + 5 * 2
 
 
+def test_printed_tables_equal_the_summary_csvs(tiny_path, tmp_path, capsys):
+    for command, label in (("eval-onestep", "onestep"), ("eval-nstep", "nstep")):
+        out = tmp_path / label
+        main([command, "--config", tiny_path, "--out", str(out), "--no-raw"])
+        printed = capsys.readouterr().out.splitlines()
+        rows = [line.split(",") for line in (out / f"{label}_summary.csv").read_text().splitlines()[1:]]
+        expected = [f"{label}: checkpoint_or_n  proposed(mean/std)  edmd(mean/std)"]
+        for proposed, edmd in zip(rows[::2], rows[1::2]):
+            assert proposed[0] == edmd[0] and (proposed[1], edmd[1]) == ("proposed", "edmd")
+            cells = "  ".join("%.6g/%.6g" % (float(r[2]), float(r[3])) for r in (proposed, edmd))
+            expected.append(f"{label}: {int(proposed[0]):>6}  {cells}")
+        assert printed == expected
+
+
 def test_spectrum_cli(tiny_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["spectrum", "--config", tiny_path, "--out", str(out), "--seeds", "1", "--pairs", "150"])

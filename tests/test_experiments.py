@@ -270,6 +270,34 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             config_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "path, key, value, message",
+        [
+            ((), "init_ranges", 5, "config: init_ranges 5 is not a list"),
+            ((), "subsystems", 5, "config: subsystems 5 is not a list"),
+            ((), "subsystems", [5], "subsystem 0: 5 is not a record"),
+            (("subsystems", 0), "coordinates", 5, "subsystem 0: coordinates 5 is not a list"),
+            (("subsystems", 0, "coordinates"), 1, [5], "subsystem 0 coordinate 1 term 0: 5 is not a record"),
+            (
+                ("subsystems", 0, "coordinates", 1, 0),
+                "exponents",
+                5,
+                "subsystem 0: coordinate 1 term 0: exponents 5 is not a list",
+            ),
+            ((), "couplings", {"a": 1}, "config: couplings {'a': 1} is not a list"),
+            ((), "couplings", [5], "coupling ?<-?: 5 is not a record"),
+        ],
+        ids=["init_ranges", "subsystems", "subsystem", "coordinates", "term", "exponents", "couplings", "coupling"],
+    )
+    def test_scalars_where_the_schema_has_a_list_are_named(self, path, key, value, message):
+        raw = tiny_config_dict()
+        entry = raw
+        for k in path:
+            entry = entry[k]
+        entry[key] = value
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            config_from_dict(raw)
+
     def test_exponents_must_be_integral(self):
         raw = tiny_config_dict()
         raw["subsystems"][0]["coordinates"][1][0]["exponents"] = [0, 1.5]
@@ -404,14 +432,11 @@ class TestExperimentDrivers:
     def test_onestep_summary_and_raw_agree(self, tiny_config, tmp_path):
         out = tmp_path / "run"
         summary = run_experiments(tiny_config, ("onestep",), out)["onestep"]
-        keys = summary.keys()
-        assert keys == [130, 260]
+        assert summary.keys == [130, 260]
         points_per_seed = tiny_config.test_count * (tiny_config.test_length - 1)
-        for key in keys:
-            for method in METHODS:
-                row = summary.get(key, method)
-                assert row.count == tiny_config.seeds * points_per_seed
-                assert np.isfinite(row.mean) and row.std >= 0
+        assert summary.mean.shape == summary.std.shape == summary.count.shape == (2, len(METHODS))
+        assert (summary.count == tiny_config.seeds * points_per_seed).all()
+        assert np.isfinite(summary.mean).all() and (summary.std >= 0).all()
         # aggregation correctness: per-seed summary equals a recomputation
         # from the emitted raw per-point errors
         for s in range(tiny_config.seeds):
@@ -431,19 +456,19 @@ class TestExperimentDrivers:
     def test_onestep_single_checkpoint(self, tiny_config):
         cfg = override_config(tiny_config, checkpoint_stride=260, seeds=1)
         summary = run_experiments(cfg, ("onestep",))["onestep"]
-        assert summary.keys() == [260]
+        assert summary.keys == [260]
 
     def test_nstep_horizon_one_reduces_to_one_step(self, tiny_config):
         cfg = override_config(tiny_config, nstep_horizon=1, seeds=1)
         summary = run_experiments(cfg, ("nstep",))["nstep"]
-        assert summary.keys() == [1]
+        assert summary.keys == [1]
         # recompute: one-step predictions from each test trajectory start
         from koopseed.experiments import forecast_matrices
 
         data = generate_data(cfg, 0)
         models = train_checkpoint_models(cfg, data, [cfg.nstep_train_pairs])
         dic = cfg.dictionary()
-        for method in METHODS:
+        for j, method in enumerate(METHODS):
             mats, _ = forecast_matrices(models[method][cfg.nstep_train_pairs], [1])
             errs = [
                 relative_l2(
@@ -451,13 +476,12 @@ class TestExperimentDrivers:
                 )
                 for t in range(cfg.test_count)
             ]
-            row = summary.get(1, method)
-            assert row.mean == pytest.approx(float(np.mean(errs)), rel=1e-12)
+            assert summary.mean[0, j] == pytest.approx(float(np.mean(errs)), rel=1e-12)
 
     def test_nstep_files(self, tiny_config, tmp_path):
         out = tmp_path / "nstep"
         summary = run_experiments(tiny_config, ("nstep",), out)["nstep"]
-        assert summary.keys() == list(range(1, 21))
+        assert summary.keys == list(range(1, 21))
         raw = np.loadtxt(out / "nstep_raw_seed0_proposed.csv", delimiter=",", skiprows=1)
         assert raw.shape == (20 * tiny_config.test_count, 3)
 
@@ -517,7 +541,11 @@ class TestExperimentDrivers:
         shared, separate = tmp_path / "shared", tmp_path / "separate"
         results = run_experiments(tiny_config, out_dir=shared)
         alone = {stage: run_experiments(tiny_config, (stage,), separate)[stage] for stage in results}
-        assert results == alone
+        assert results.keys() == alone.keys()
+        assert results["spectrum"] == alone["spectrum"]
+        for stage in ("onestep", "nstep"):
+            for field in ("keys", "mean", "std", "count"):
+                assert np.array_equal(getattr(results[stage], field), getattr(alone[stage], field))
         names = sorted(p.name for p in shared.iterdir())
         assert names == sorted(p.name for p in separate.iterdir())
         assert "onestep_raw_seed1_edmd.csv" in names and "nstep_raw_seed1_edmd.csv" in names
@@ -534,13 +562,29 @@ class TestExperimentDrivers:
         for method in METHODS:
             assert np.array_equal(together[method][pairs].matrix, alone[method][pairs].matrix)
 
+    def test_seed_aggregation_averages_each_cell_like_np_mean(self):
+        # at 8 or more seeds np.mean's pairwise sum adds in another order than
+        # a sum over the seed axis of the stacked summaries
+        rng = np.random.default_rng(16)
+        keys = list(range(1, 51))
+        per_seed = [
+            experiments.ErrorSummary(
+                keys, rng.lognormal(-7, 2, (50, 2)), rng.lognormal(-7, 2, (50, 2)), np.full((50, 2), 3)
+            )
+            for _ in range(10)
+        ]
+        summary = experiments._aggregate_summaries(per_seed)
+        assert summary.keys == keys
+        assert (summary.count == 30).all()
+        for cell in np.ndindex(50, 2):
+            assert summary.mean[cell] == np.mean([s.mean[cell] for s in per_seed])
+            assert summary.std[cell] == np.mean([s.std[cell] for s in per_seed])
+
     def test_methods_share_test_data(self, tiny_config):
         # identical counts per method at each checkpoint: same trajectories,
         # same points, same metric
         summary = run_experiments(override_config(tiny_config, seeds=1), ("onestep",))["onestep"]
-        for key in summary.keys():
-            counts = {m: summary.get(key, m).count for m in METHODS}
-            assert len(set(counts.values())) == 1
+        assert (summary.count == summary.count[:, :1]).all()
 
 
 class TestOnestepErrors:
@@ -569,14 +613,14 @@ class TestOnestepErrors:
         dictionary = tiny_config.dictionary()
         data = generate_data(tiny_config, 0)
         models = train_checkpoint_models(tiny_config, data, tiny_config.checkpoints())
-        scores = experiments._onestep_scores(tiny_config, dictionary, 0, data, models, [])
+        keys, errors = experiments._onestep_scores(tiny_config, dictionary, 0, data, models, [])
         psi = dictionary.evaluate(data.test_states)
-        assert sorted(scores) == tiny_config.checkpoints()
-        for cp, per_method in scores.items():
-            for method in METHODS:
+        assert keys == tiny_config.checkpoints()
+        for i, cp in enumerate(keys):
+            for j, method in enumerate(METHODS):
                 forecast = forecast_matrices(models[method][cp], [1])[0][1]
                 expected = onestep_errors(forecast, psi, data.test_states)
-                assert np.array_equal(per_method[method], expected)
+                assert np.array_equal(errors[i, j], expected)
 
     def test_test_tensor_is_never_evaluated_whole(self, tiny_config, monkeypatch):
         bound = 2 * tiny_config.test_length
