@@ -64,8 +64,10 @@ def _cmd_simulate(args):
     os.makedirs(args.out, exist_ok=True)
     s = args.seed_index
     if args.tests:
-        # generate_data integrates the training trajectory along with the tests
-        data = generate_data(config, s)
+        # only the tests written, but at least two: a one-row batch goes
+        # through gemv and rounds unlike the same row in a larger batch
+        config = override_config(config, test_count=min(config.test_count, max(args.tests, 2)))
+        data = generate_data(config, s)  # integrates the training trajectory too
         states = data.train_states
     else:
         states = simulate_training(config, s)[1]

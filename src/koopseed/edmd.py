@@ -5,8 +5,8 @@ dictionary Gram matrix. The online path keeps the current estimate and the
 inverse-Gram surrogate and absorbs pairs through one recursion, in blocks
 through the Woodbury identity; a one-row block is the rank-one update.
 ``online_update_many`` feeds it arrays of evaluated pairs and
-``online_update`` one SnapshotPair. Seeding with an ODE-derived matrix biases
-the regression toward the seed.
+``online_update`` one SnapshotPair, evaluated in one call. Seeding with an
+ODE-derived matrix biases the regression toward the seed.
 """
 
 from dataclasses import dataclass
@@ -72,9 +72,9 @@ def batch_edmd_from_psi(
 class OnlineState:
     """Running state of the online recursion.
 
-    ``pinv`` is the inverse-Gram surrogate (the positive-definite matrix
-    appearing inside the gain), re-symmetrized once per block of the
-    recursion; ``count`` is the number of pairs absorbed so far.
+    ``pinv``, the positive-definite inverse-Gram surrogate in the gain, is
+    re-symmetrized after each block of two or more rows and kept exactly
+    symmetric by the one-row step; ``count`` is the pairs absorbed so far.
     """
 
     matrix: np.ndarray
@@ -99,7 +99,7 @@ def online_init(seed, sigma: float, dictionary: Dictionary | None = None) -> Onl
             raise ValueError("a dictionary is required when seeding from zero")
         K = np.zeros((len(dictionary), len(dictionary)))
     else:
-        K = np.array(seed, dtype=float)
+        K = np.array(seed, dtype=float, order="C")
         if K.ndim != 2 or K.shape[0] != K.shape[1]:
             raise ValueError("seed matrix must be square")
     return OnlineState(matrix=K, pinv=sigma * np.eye(K.shape[0]), count=0)
@@ -116,21 +116,30 @@ def _absorb(state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray) -> OnlineS
         K    <- K + (Y^T - K X^T) G
         pinv <- pinv - PX G
 
-    with pinv re-symmetrized once per block. At b = 1 the solve is a scalar
-    gain gamma = 1 / (1 + x^T pinv x), in (0, 1] while pinv is positive
-    definite, and the update is rank one.
+    with pinv re-symmetrized after each block of two or more rows. At b = 1
+    the gain gamma = 1 / (1 + x^T pinv x) is a scalar in (0, 1] while pinv
+    is positive definite, and gamma Px Px^T is exactly symmetric, so this
+    rank-one step keeps the exactly symmetric pinv that ``online_init`` and
+    every block hand it exactly symmetric. The input state is not written.
     """
-    K = state.matrix.copy()
-    P = state.pinv.copy()
+    K, P = state.matrix, state.pinv
     m = psi_x.shape[0]
+    if m != 1:
+        # the Woodbury blocks update in place; a one-row call builds new arrays
+        K, P = K.copy(), P.copy()
     for start in range(0, m, _BLOCK_PAIRS):
         if m - start == 1:
             # a one-row block; its solve would cost a third more than this step
             x = psi_x[start]
             Px = P @ x
             gamma = 1.0 / (1.0 + x @ Px)
-            K += gamma * np.outer(psi_y[start] - K @ x, Px)
-            P -= gamma * np.outer(Px, Px)
+            dK = np.outer(psi_y[start] - K @ x, Px)
+            dK *= gamma
+            dK += K
+            dP = np.outer(Px, Px)
+            dP *= -gamma
+            dP += P
+            K, P = dK, dP
         else:
             X = psi_x[start : start + _BLOCK_PAIRS]
             Y = psi_y[start : start + _BLOCK_PAIRS]
@@ -138,19 +147,18 @@ def _absorb(state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray) -> OnlineS
             G = np.linalg.solve(np.eye(X.shape[0]) + X @ PX, PX.T)
             K += (Y.T - K @ X.T) @ G
             P -= PX @ G
-        np.copyto(P, 0.5 * (P + P.T))
+            np.copyto(P, 0.5 * (P + P.T))
     return OnlineState(matrix=K, pinv=P, count=state.count + m)
 
 
 def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary) -> OnlineState:
     """Absorb one snapshot pair and return the updated state.
 
-    The pair is evaluated on the dictionary and absorbed as a one-row block,
-    bit for bit what ``online_update_many`` gives for the same row.
+    Both states are evaluated in one dictionary call and absorbed as a
+    one-row block, bit for bit what ``online_update_many`` gives for the row.
     """
-    psi_x = dictionary.evaluate(pair.x)[None, :]
-    psi_y = dictionary.evaluate(pair.y)[None, :]
-    return _absorb(state, psi_x, psi_y)
+    psi = dictionary.evaluate(np.stack((pair.x, pair.y)))
+    return _absorb(state, psi[:1], psi[1:])
 
 
 def online_update_many(

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from koopseed import dynamics
+from koopseed import dynamics, experiments
 from koopseed.cli import main
 from koopseed.model import load_matrix_csv
 
@@ -63,6 +63,28 @@ def test_simulate_integrates_training_once(tiny_path, tmp_path, monkeypatch):
     main(["simulate", "--config", tiny_path, "--out", str(tmp_path), "--tests", "2"])
     config = tiny_config_dict()
     assert len(calls) == config["train_steps"] + config["test_steps"]
+
+
+@pytest.mark.parametrize("tests, rows", [(1, 2), (2, 2), (9, 4)])
+def test_simulate_integrates_only_the_tests_it_writes(tiny_path, tmp_path, monkeypatch, tests, rows):
+    # at least two rows: a one-row batch rounds unlike a row of a larger one
+    full = tmp_path / "full"
+    main(["simulate", "--config", tiny_path, "--out", str(full), "--tests", "4"])
+    batch = experiments.simulate_batch
+    sizes = []
+
+    def counted(system, x0s, *args, **kwargs):
+        sizes.append(len(x0s))
+        return batch(system, x0s, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "simulate_batch", counted)
+    out = tmp_path / "out"
+    main(["simulate", "--config", tiny_path, "--out", str(out), "--tests", str(tests)])
+    assert sizes == [rows]
+    written = sorted(p.name for p in out.glob("test_*.csv"))
+    assert written == [f"test_seed0_{t:03d}.csv" for t in range(min(tests, 4))]
+    for name in written + ["train_seed0.csv"]:
+        assert (out / name).read_bytes() == (full / name).read_bytes(), name
 
 
 def test_train_batch_and_online(tiny_path, tmp_path):

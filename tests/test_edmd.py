@@ -168,6 +168,17 @@ class TestOnlineUpdate:
         assert np.array_equal(one.pinv, many.pinv)
         assert one.count == many.count == 50
 
+    def test_seed_memory_layout_leaves_the_bits_alone(self):
+        # the one-row step works on the state's own arrays, and a product's
+        # rounding can depend on its operand's layout
+        d = build_dictionary(6, 3)
+        seed = derive_seed_model(load_config("duffing")).matrix
+        pair = duffing_pairs(1, seed=13)[0]
+        rows = online_update(online_init(seed, 1.0), pair, d)
+        cols = online_update(online_init(np.asfortranarray(seed), 1.0), pair, d)
+        assert np.array_equal(rows.matrix, cols.matrix)
+        assert np.array_equal(rows.pinv, cols.pinv)
+
     def test_single_pair_does_not_call_the_public_bulk_name(self, monkeypatch):
         # a tracer that wraps both public names would count the pair twice
         calls = []
@@ -305,3 +316,51 @@ def test_update_many_matches_ridge_oracle_over_any_split(data, log_sigma, count)
     rel = np.linalg.norm(state.matrix - oracle) / np.linalg.norm(oracle)
     assert rel <= 1e-8, (sigma, count, cuts, rel)
     assert state.count == count
+
+
+def absorb_as_first_written(state, psi_x, psi_y):
+    """The recursion with copies, in-place updates and a re-symmetrization
+    after every block, the one-row step included."""
+    K = state.matrix.copy()
+    P = state.pinv.copy()
+    m = psi_x.shape[0]
+    for start in range(0, m, _BLOCK_PAIRS):
+        if m - start == 1:
+            x = psi_x[start]
+            Px = P @ x
+            gamma = 1.0 / (1.0 + x @ Px)
+            K += gamma * np.outer(psi_y[start] - K @ x, Px)
+            P -= gamma * np.outer(Px, Px)
+        else:
+            X = psi_x[start : start + _BLOCK_PAIRS]
+            Y = psi_y[start : start + _BLOCK_PAIRS]
+            PX = P @ X.T
+            G = np.linalg.solve(np.eye(X.shape[0]) + X @ PX, PX.T)
+            K += (Y.T - K @ X.T) @ G
+            P -= PX @ G
+        np.copyto(P, 0.5 * (P + P.T))
+    return K, P
+
+
+@given(st.data(), st.sampled_from([1, _BLOCK_PAIRS + 1, 2 * _BLOCK_PAIRS + 1]), st.integers(2, 40))
+def test_one_row_step_matches_the_first_formulation_bit_for_bit(data, m, n):
+    # every call ends in a one-row block, after zero, one or two Woodbury blocks
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** data.draw(st.floats(-2.0, 2.0))
+    A = rng.standard_normal((n, n))
+    pinv = A @ A.T + scale * np.eye(n)
+    pinv = 0.5 * (pinv + pinv.T)
+    state = OnlineState(matrix=rng.standard_normal((n, n)), pinv=pinv, count=3)
+    before = (state.matrix.copy(), state.pinv.copy())
+    X = rng.uniform(-1.5, 1.5, (m, n))
+    Y = rng.uniform(-1.5, 1.5, (m, n))
+    new = online_update_many(state, X, Y)
+    K, P = absorb_as_first_written(state, X, Y)
+    assert np.array_equal(new.matrix, K)
+    assert np.array_equal(new.pinv, P)
+    assert np.array_equal(new.pinv, new.pinv.T)
+    assert new.count == 3 + m
+    # the input state is not written to, nor shared with the result
+    assert np.array_equal(state.matrix, before[0]) and np.array_equal(state.pinv, before[1])
+    assert not np.shares_memory(new.matrix, state.matrix)
+    assert not np.shares_memory(new.pinv, state.pinv)

@@ -1,7 +1,9 @@
 """The README's library quick start and override table, the package's public
-names and the names the benchmark hooks stay in step with the API."""
+names and the names the benchmark hooks stay in step with the API; the suite
+runs its BLAS on the thread count that tests/conftest.py pins."""
 
 import argparse
+import ctypes
 import dataclasses
 import importlib.util
 import os
@@ -9,6 +11,9 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 import koopseed
 from koopseed.cli import build_parser
@@ -105,3 +110,21 @@ def test_derive_runs_without_scipy(tmp_path):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
     assert (tmp_path / "seed_matrix.csv").exists()
+
+
+def test_suite_runs_the_blas_on_one_thread():
+    if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
+        pytest.skip("the caller chose another BLAS thread count")
+    # numpy's bundled OpenBLAS, already loaded; dlopen hands back that handle
+    numpy_dir = Path(np.__file__).parent
+    libs = [*(numpy_dir.parent / "numpy.libs").glob("*openblas*"), *(numpy_dir / ".dylibs").glob("*openblas*")]
+    for lib in libs:
+        try:
+            get_threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get_threads.argtypes = []
+        get_threads.restype = ctypes.c_int
+        assert get_threads() == 1
+        return
+    pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
