@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-# States per pass of MonomialTable. It bounds the scratch block and the
+# States per MonomialTable kernel pass. It bounds the table and the
 # temporaries independently of the batch size; larger passes were no faster
 # on the preset test tensors and raised peak memory on small batches.
 _CHUNK_ROWS = 512
@@ -52,14 +52,28 @@ class MonomialTable:
     ``x_v**e``; prefixes missing from the list are kept as hidden rows. The
     factors with e >= 2 are formed in one ``power`` call, and the products
     are filled level by level (by nonzero-variable count) with one
-    gather-multiply per level, in a variables-first scratch block.
+    gather-multiply per level, in a variables-first table: a row of ones,
+    the variables, the powers, then the products.
 
-    Each value is the left-to-right product of ``x_d**e_d`` over d that
-    ``prod_d x[..., d, None] ** exponents[:, d]`` forms, and so is
-    bit-identical to it for two or more monomials: multiplying by a factor
-    with e = 0, which is 1, is exact, and a factor with e = 1 is x itself,
-    which pow returns exactly. (For a single monomial that loop broadcasts
-    its exponent, and numpy's power then squares instead of calling pow.)
+    Construction works out everything that does not depend on the states:
+    the power source rows (1 + each power's base variable), an exponent
+    block with one exponent per power row and state, the slice of power
+    rows, each level's gather rows and the rows of the listed monomials.
+    ``_table`` is the one kernel: it fills the table for at most
+    _CHUNK_ROWS states in a fixed handful of numpy calls, with ``power``
+    writing straight into the power rows. A call gathers the listed rows of
+    one table, or of one table per chunk for larger batches, so a single
+    state pays no chunk loop.
+
+    The powers stay one ``power`` call over arrays because that call
+    defines the bits: its SIMD pow can differ in the last bit from ``x *
+    x``, from ``math.pow`` and between ``-a`` and ``a``. Each value is the
+    left-to-right product of ``x_d**e_d`` over d that ``prod_d x[..., d,
+    None] ** exponents[:, d]`` forms, and so is bit-identical to it for two
+    or more monomials: multiplying by a factor with e = 0, which is 1, is
+    exact, and a factor with e = 1 is x itself, which pow returns exactly.
+    (For a single monomial that loop broadcasts its exponent, and numpy's
+    power then squares instead of calling pow.)
     """
 
     def __init__(self, exponents):
@@ -108,31 +122,42 @@ class MonomialTable:
             prefixes = np.array([row_of(products[m][1]) for m in block])
             factors = np.array([factor_row(*products[m][2]) for m in block])
             self._levels.append((lo, lo + len(block), prefixes, factors))
-        self._bases = np.array([v for v, _ in powers], dtype=np.intp)
-        self._powers = np.array([e for _, e in powers], dtype=float)
-        self._table_rows = 1 + self.var_count + len(powers) + len(order)
+        first_power = 1 + self.var_count
+        self._sources = np.array([1 + v for v, _ in powers], dtype=np.intp)
+        # One exponent per cell, column-major so that a single state's block
+        # is contiguous: an exponent broadcast along the states lets numpy
+        # square instead of calling pow once a row passes half its buffer
+        # (np.getbufsize()).
+        degrees = np.array([e for _, e in powers], dtype=float)
+        self._exponents = np.repeat(degrees[None, :], _CHUNK_ROWS, axis=0).T
+        self._power_rows = slice(first_power, first_power + len(powers))
+        self._table_rows = first_power + len(powers) + len(order)
         self._visible = np.array([row_of(m) for m in monomials], dtype=np.intp)
 
+    def _table(self, x) -> np.ndarray:
+        # the filled (table rows, n) table at states x of shape (n,
+        # var_count), n <= _CHUNK_ROWS
+        table = np.empty((self._table_rows, x.shape[0]))
+        table[0] = 1.0
+        table[1 : self._power_rows.start] = x.T
+        exponents = self._exponents[:, : x.shape[0]]
+        np.power(table.take(self._sources, axis=0), exponents, out=table[self._power_rows])
+        for lo, hi, prefixes, factors in self._levels:
+            np.multiply(table.take(prefixes, axis=0), table.take(factors, axis=0), out=table[lo:hi])
+        return table
+
     def __call__(self, x) -> np.ndarray:
-        """Monomial values at states x of shape (..., var_count): (..., count)."""
-        lead = x.shape[:-1]
-        flat = x.reshape(-1, self.var_count)
-        count = len(self._visible)
-        out = np.empty((flat.shape[0], count))
-        scratch = np.empty((self._table_rows, min(flat.shape[0], _CHUNK_ROWS)))
-        scratch[0] = 1.0
-        first_power = 1 + self.var_count
-        for start in range(0, flat.shape[0], _CHUNK_ROWS):
-            chunk = flat[start : start + _CHUNK_ROWS]
-            table = scratch[:, : chunk.shape[0]]
-            table[1:first_power] = chunk.T
-            if len(self._powers):
-                powers = chunk[:, self._bases] ** self._powers
-                table[first_power : first_power + len(self._powers)] = powers.T
-            for lo, hi, prefixes, factors in self._levels:
-                np.multiply(table[prefixes], table[factors], out=table[lo:hi])
-            out[start : start + chunk.shape[0]] = table[self._visible].T
-        return out.reshape(lead + (count,))
+        """Monomial values at states x of shape (..., var_count): a
+        C-contiguous (..., count)."""
+        flat = x if x.ndim == 2 else x.reshape(-1, self.var_count)
+        if flat.shape[0] <= _CHUNK_ROWS:
+            out = np.ascontiguousarray(self._table(flat).take(self._visible, axis=0).T)
+        else:
+            out = np.empty((flat.shape[0], len(self._visible)))
+            for start in range(0, flat.shape[0], _CHUNK_ROWS):
+                table = self._table(flat[start : start + _CHUNK_ROWS])
+                out[start : start + _CHUNK_ROWS] = table.take(self._visible, axis=0).T
+        return out if x.ndim == 2 else out.reshape(x.shape[:-1] + out.shape[-1:])
 
 
 def _graded_lex_entries(var_count, max_degree):

@@ -98,21 +98,30 @@ class PolynomialVectorField:
         self._monomials = MonomialTable(
             np.array(flat, dtype=np.int64).reshape(len(flat), self.var_count)
         )
-        self._coef = np.zeros((len(self.components), len(flat)))
+        coef = np.zeros((len(self.components), len(flat)))
         t = 0
         for coord, terms in enumerate(self.components):
             for _, c in terms:
-                self._coef[coord, t] = c
+                coef[coord, t] = c
                 t += 1
+        self._coef_t = coef.T
 
     def evaluate(self, x) -> np.ndarray:
-        """Evaluate the field at a state or a batch of states (..., var_count)."""
+        """Evaluate the field at a state or a batch of states (..., var_count).
+
+        One MonomialTable pass gives the C-contiguous (n, T) monomials, and
+        one product with ``_coef_t``, the (T, D) transpose view taken at
+        construction, contracts them. The operands' shapes and layouts pick
+        the BLAS routine and so the rounding: a single state goes through
+        gemv, as RK4's training state always has, and a batch through gemm;
+        a C-ordered copy of ``_coef_t`` would round a single state otherwise.
+        """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.var_count:
             raise ValueError(
                 f"state has {x.shape[-1]} variables, field expects {self.var_count}"
             )
-        return self._monomials(x) @ self._coef.T
+        return self._monomials(x) @ self._coef_t
 
     def __call__(self, x):
         return self.evaluate(x)

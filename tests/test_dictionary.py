@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from monomial_cases import assert_same_bits, exponent_lists, power_loop, state_batches
 
 from koopseed.dictionary import (
+    _CHUNK_ROWS,
     Dictionary,
     MonomialTable,
     VariableLayout,
@@ -130,6 +131,30 @@ def test_evaluate_matches_power_loop_bit_for_bit(data, var_count, max_degree):
     d = build_dictionary(var_count, max_degree)
     x = data.draw(state_batches(var_count))
     assert_same_bits(d.evaluate(x), power_loop(x, d.exponents))
+
+
+@pytest.mark.parametrize("rows", [1, 2, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1])
+def test_evaluate_matches_power_loop_across_the_chunk_boundary(rows):
+    # the presets' dictionary (6 variables, degree 3), from one state to
+    # batches that end just before, on and just after a chunk boundary
+    d = build_dictionary(6, 3)
+    x = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 6))
+    assert_same_bits(d.evaluate(x), power_loop(x, d.exponents))
+
+
+def test_evaluate_bits_do_not_depend_on_the_ufunc_buffer_size():
+    # numpy squares instead of calling pow when an exponent is broadcast
+    # along a row longer than half its buffer, so a small buffer would
+    # expose an exponent column that is not stored in full
+    d = build_dictionary(6, 3)
+    x = np.random.default_rng(7).uniform(-3.0, 3.0, (_CHUNK_ROWS, 6))
+    expect = power_loop(x, d.exponents)
+    old = np.setbufsize(32)
+    try:
+        got = d.evaluate(x)
+    finally:
+        np.setbufsize(old)
+    assert_same_bits(got, expect)
 
 
 def test_layout_offsets():

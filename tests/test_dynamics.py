@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from monomial_cases import assert_same_bits, reference_rk4
 
+from koopseed import dynamics
 from koopseed.dictionary import VariableLayout
 from koopseed.dynamics import (
     BlowUpError,
@@ -136,6 +138,44 @@ class TestSimulate:
         for k in range(4):
             single = simulate(DUFFING, x0s[k], 50, 0.01)
             assert np.allclose(out[k], single, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("preset", ["duffing", "vdp"])
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_trajectories_match_the_written_out_rk4_bit_for_bit(self, preset, rows):
+        # one row through simulate, batches through simulate_batch: each
+        # stage's field is the power-loop monomials times the coefficient
+        # matrix's transpose at the same (n, T) @ (T, D) shape
+        config = load_config(preset)
+        x0 = sample_initial(config.init_ranges, rows)
+        x0s = np.stack([perturb_initial(x0, config.perturb_radius, s) for s in range(rows)])
+        expect = reference_rk4(config.system.field, x0s, 300, config.dt)
+        if rows == 1:
+            got = simulate(config.system, x0s[0], 300, config.dt)[None]
+        else:
+            got = simulate_batch(config.system, x0s, 300, config.dt)
+        assert_same_bits(got, expect)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_each_step_evaluates_the_field_four_times_through_the_class(self, monkeypatch, rows):
+        # the benchmark's tracer counts field calls by patching the class
+        # attribute, so every RK4 stage must look evaluate up on the class
+        calls = {"evaluate": 0, "rk4_step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(PolynomialVectorField, "evaluate", counted("evaluate", PolynomialVectorField.evaluate))
+        monkeypatch.setattr(dynamics, "rk4_step", counted("rk4_step", dynamics.rk4_step))
+        x0s = np.full((rows, 6), 0.5)
+        if rows == 1:
+            simulate(DUFFING, x0s[0], 7, 0.01)
+        else:
+            simulate_batch(DUFFING, x0s, 7, 0.01)
+        assert calls == {"evaluate": 28, "rk4_step": 7}
 
 
 class TestSampling:

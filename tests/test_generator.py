@@ -4,9 +4,9 @@ import pytest
 import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
-from monomial_cases import assert_same_bits, power_loop, state_batches
+from monomial_cases import assert_same_bits, field_terms, power_loop, state_batches
 
-from koopseed.dictionary import build_dictionary
+from koopseed.dictionary import _CHUNK_ROWS, build_dictionary
 from koopseed.dynamics import rk4_step
 from koopseed.generator import (
     _THETA13,
@@ -107,18 +107,15 @@ class TestPolynomialVectorField:
 
     @given(st.data())
     def test_evaluate_matches_power_loop_bit_for_bit(self, data):
+        # one drawn batch, then 1 and 2 rows (gemv and the smallest gemm) and
+        # batches that fill one kernel chunk and spill one row past it
         f = data.draw(polynomial_fields())
-        flat = [m for terms in f.components for (m, _) in terms]
+        flat, coef = field_terms(f)
         assume(len(flat) >= 2)
-        coef = np.zeros((f.var_count, len(flat)))
-        t = 0
-        for coord, terms in enumerate(f.components):
-            for _, c in terms:
-                coef[coord, t] = c
-                t += 1
-        x = data.draw(state_batches(f.var_count))
-        expect = power_loop(x, np.array(flat, dtype=np.int64)) @ coef.T
-        assert_same_bits(f.evaluate(x), expect)
+        batches = [data.draw(state_batches(f.var_count))]
+        batches += [data.draw(state_batches(f.var_count, n)) for n in (1, 2, _CHUNK_ROWS, _CHUNK_ROWS + 1)]
+        for x in batches:
+            assert_same_bits(f.evaluate(x), power_loop(x, flat) @ coef.T)
 
     def test_overflow_gives_non_finite_values(self):
         f = duffing_rhs(0.2, -1.0, 0.5)
