@@ -32,7 +32,7 @@ def _add_common(parser, degree=True, sigma=True):
 
 def _add_experiment_flags(parser):
     parser.add_argument("--seeds", type=int, default=None, help="number of RNG repetitions")
-    parser.add_argument("--no-raw", action="store_true", help="skip raw per-point error CSVs")
+    parser.add_argument("--no-raw", action="store_true", help="skip the raw per-point error arrays (.npy)")
 
 
 def _add_checkpoint_flags(parser):

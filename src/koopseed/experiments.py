@@ -3,11 +3,12 @@
 The pipeline derives a global Koopman matrix from the subsystem ODEs,
 refines it online from a training trajectory, trains batch EDMD on the same
 pairs, and scores both on held-out perturbed trajectories with the relative
-l2 metric. Everything is driven by an ExperimentConfig and emits plain CSV.
+l2 metric. Everything is driven by an ExperimentConfig. Summaries, spectra
+and matrices are written as CSV, and each stage's per-point errors as one
+``.npy`` array per seed.
 """
 
 import dataclasses
-import itertools
 import json
 import os
 from dataclasses import dataclass
@@ -485,21 +486,8 @@ def _nstep_scores(config, dictionary, s, data, models, notes) -> tuple:
     return keys, errors
 
 
-# Scored stage -> (one seed's scorer, raw CSV header).
-_SCORED = {
-    "onestep": (_onestep_scores, "checkpoint,traj,step,error"),
-    "nstep": (_nstep_scores, "n,traj,error"),
-}
-
-
-def _write_raw(path, header: str, keys: list, errors: np.ndarray) -> None:
-    """One row per error: key, trajectory (from 0), further axes (from 1),
-    error; errors[i] holds the errors of keys[i]."""
-    index = np.indices(errors.shape[1:]).reshape(errors.ndim - 1, -1)
-    index[1:] += 1
-    columns = index.tolist()
-    rows = (zip(itertools.repeat(k), *columns, e.ravel().tolist()) for k, e in zip(keys, errors))
-    write_csv(path, header, itertools.chain.from_iterable(rows))
+# Scored stage -> one seed's scorer.
+_SCORED = {"onestep": _onestep_scores, "nstep": _nstep_scores}
 
 
 def run_experiments(
@@ -517,8 +505,11 @@ def run_experiments(
     "counts": {method: [per seed]}, "mean_counts": {method: float}}, where a
     count is the number of eigenvalues with |mu| > SPECTRUM_THRESHOLD at
     ``spectrum_train_pairs`` pairs. With ``out_dir``, writes per-seed and
-    averaged summaries, raw per-point errors (``write_raw``), spectra and
-    counts as CSV.
+    averaged summaries, spectra and counts as CSV, and (``write_raw``) each
+    scored stage's per-point errors of seed s as ``<stage>_raw_seed<s>.npy``:
+    the scorer's ``errors`` array, where ``errors[i, j]`` holds the errors of
+    ``keys[i]`` and ``METHODS[j]`` (summary row ``2 * i + j``) and
+    ``np.mean(errors[i, j])`` is that row's per-seed mean.
     """
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -540,17 +531,14 @@ def run_experiments(
         models = train_checkpoint_models(config, data, pairs)
         with np.errstate(over="ignore", invalid="ignore"):  # forecast blow-ups are data
             for stage in scored:
-                score, header = _SCORED[stage]
-                keys, errors = score(config, dictionary, s, data, models, notes[stage])
+                keys, errors = _SCORED[stage](config, dictionary, s, data, models, notes[stage])
                 summary = _summary_from_errors(keys, errors)
                 per_seed[stage].append(summary)
                 if out_dir is None:
                     continue
                 summary.write_csv(os.path.join(out_dir, f"{stage}_summary_seed{s}.csv"))
                 if write_raw:
-                    for j, method in enumerate(METHODS):
-                        path = os.path.join(out_dir, f"{stage}_raw_seed{s}_{method}.csv")
-                        _write_raw(path, header, keys, errors[:, j])
+                    np.save(os.path.join(out_dir, f"{stage}_raw_seed{s}.npy"), errors)
         if "spectrum" in stages:
             for method in METHODS:
                 mu = spectrum_of(models[method][spectrum_pairs])

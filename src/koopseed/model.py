@@ -62,14 +62,22 @@ def save_matrix_csv(path, model: KoopmanModel, extra_meta: dict | None = None) -
 
 
 def load_matrix_csv(path) -> KoopmanModel:
-    """Read a model written by save_matrix_csv."""
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing metadata header line")
-        meta = json.loads(header.lstrip("#").strip())
-        matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
-    dictionary = build_dictionary(int(meta["var_count"]), int(meta["max_degree"]))
-    model = KoopmanModel(dictionary, matrix)
+    """Read a model written by save_matrix_csv. A malformed file raises a
+    ValueError that names it."""
+    try:
+        with open(path) as fh:
+            header = fh.readline()
+            if not header.startswith("#"):
+                raise ValueError("missing metadata header line")
+            meta = json.loads(header[1:])
+            if not isinstance(meta, dict) or not {"var_count", "max_degree", "size"} <= meta.keys():
+                raise ValueError("metadata header must be a JSON record with var_count, max_degree and size")
+            dictionary = build_dictionary(meta["var_count"], meta["max_degree"])
+            if meta["size"] != len(dictionary):
+                raise ValueError(f"metadata size {meta['size']!r} is not the dictionary size {len(dictionary)}")
+            matrix = np.loadtxt(fh, delimiter=",", ndmin=2)
+        model = KoopmanModel(dictionary, matrix)
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ValueError(f"{path}: {exc}") from exc
     model.diagnostics.update({k: v for k, v in meta.items() if k not in ("var_count", "max_degree", "size")})
     return model

@@ -5,6 +5,9 @@ on success). The benchmark-trend criteria run the bundled presets end to
 end and take a few minutes; everything else is seconds.
 """
 
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -266,23 +269,25 @@ def test_criterion_9_rk4_order():
 
 @pytest.mark.slow
 def test_criterion_10_reproduce_determinism(tmp_path):
-    """`reproduce duffing --seeds 1` twice yields byte-identical CSVs."""
+    """`reproduce duffing --seeds 1` twice yields byte-identical files."""
     from koopseed.cli import main
 
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
     main(["reproduce", "duffing", "--seeds", "1", "--out", str(out_a)])
     main(["reproduce", "duffing", "--seeds", "1", "--out", str(out_b)])
-    names_a = sorted(p.name for p in out_a.iterdir() if p.suffix == ".csv")
-    names_b = sorted(p.name for p in out_b.iterdir() if p.suffix == ".csv")
+    names_a = sorted(p.name for p in out_a.iterdir())
+    names_b = sorted(p.name for p in out_b.iterdir())
     ok = names_a == names_b and len(names_a) > 0
     diffs = []
     for name in names_a:
         if (out_a / name).read_bytes() != (out_b / name).read_bytes():
             ok = False
             diffs.append(name)
+    by_suffix = sorted(Counter(Path(name).suffix for name in names_a).items())
     assert report(
         "10 reproduce determinism",
         ok,
-        f"{len(names_a)} CSVs compared" + (f", diffs: {diffs}" if diffs else ""),
+        f"{len(names_a)} files compared ({', '.join(f'{n} {suffix}' for suffix, n in by_suffix)})"
+        + (f", diffs: {diffs}" if diffs else ""),
     )

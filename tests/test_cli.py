@@ -118,7 +118,7 @@ def test_eval_onestep_cli(tiny_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval-onestep", "--config", tiny_path, "--out", str(out), "--seeds", "1"])
     assert (out / "onestep_summary.csv").exists()
-    assert (out / "onestep_raw_seed0_proposed.csv").exists()
+    assert (out / "onestep_raw_seed0.npy").exists()
     printed = capsys.readouterr().out
     assert "onestep" in printed and "130" in printed
 
@@ -134,7 +134,8 @@ def test_eval_onestep_no_raw(tiny_path, tmp_path):
     out = tmp_path / "out"
     main(["eval-onestep", "--config", tiny_path, "--out", str(out), "--seeds", "1", "--no-raw"])
     assert (out / "onestep_summary.csv").exists()
-    assert not (out / "onestep_raw_seed0_proposed.csv").exists()
+    assert not (out / "onestep_raw_seed0.npy").exists()
+    assert not list(out.glob("*raw*"))
 
 
 def test_eval_nstep_cli(tiny_path, tmp_path):

@@ -428,6 +428,21 @@ class TestGenerateData:
         assert not np.array_equal(a.train_states, c.train_states)
 
 
+def _assert_summary_reduces_raw(out, stage, s, keys) -> np.ndarray:
+    """Seed s's raw error array of ``stage``, after checking that row 2i + j
+    of its per-seed summary is the exact mean and std of raw[i, j]."""
+    raw = np.load(out / f"{stage}_raw_seed{s}.npy")
+    rows = (out / f"{stage}_summary_seed{s}.csv").read_text().splitlines()[1:]
+    assert raw.shape[:2] == (len(keys), len(METHODS)) and len(rows) == raw.shape[0] * raw.shape[1]
+    for row, line in enumerate(rows):
+        i, j = divmod(row, len(METHODS))
+        key_s, method, mean_s, std_s, count_s = line.split(",")
+        assert (int(key_s), method, int(count_s)) == (keys[i], METHODS[j], raw[i, j].size)
+        assert float(mean_s) == np.mean(raw[i, j])
+        assert float(std_s) == np.std(raw[i, j])
+    return raw
+
+
 class TestExperimentDrivers:
     def test_onestep_summary_and_raw_agree(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -437,21 +452,9 @@ class TestExperimentDrivers:
         assert summary.mean.shape == summary.std.shape == summary.count.shape == (2, len(METHODS))
         assert (summary.count == tiny_config.seeds * points_per_seed).all()
         assert np.isfinite(summary.mean).all() and (summary.std >= 0).all()
-        # aggregation correctness: per-seed summary equals a recomputation
-        # from the emitted raw per-point errors
         for s in range(tiny_config.seeds):
-            raw = {
-                m: np.loadtxt(out / f"onestep_raw_seed{s}_{m}.csv", delimiter=",", skiprows=1)
-                for m in METHODS
-            }
-            per_seed = (out / f"onestep_summary_seed{s}.csv").read_text().splitlines()[1:]
-            for line in per_seed:
-                key_s, method, mean_s, std_s, count_s = line.split(",")
-                errs = raw[method]
-                sel = errs[errs[:, 0] == int(key_s), 3]
-                assert int(count_s) == sel.size
-                assert float(mean_s) == pytest.approx(sel.mean(), rel=1e-12)
-                assert float(std_s) == pytest.approx(sel.std(), rel=1e-10, abs=1e-15)
+            raw = _assert_summary_reduces_raw(out, "onestep", s, summary.keys)
+            assert raw.shape == (2, len(METHODS), tiny_config.test_count, tiny_config.test_length - 1)
 
     def test_onestep_single_checkpoint(self, tiny_config):
         cfg = override_config(tiny_config, checkpoint_stride=260, seeds=1)
@@ -482,8 +485,9 @@ class TestExperimentDrivers:
         out = tmp_path / "nstep"
         summary = run_experiments(tiny_config, ("nstep",), out)["nstep"]
         assert summary.keys == list(range(1, 21))
-        raw = np.loadtxt(out / "nstep_raw_seed0_proposed.csv", delimiter=",", skiprows=1)
-        assert raw.shape == (20 * tiny_config.test_count, 3)
+        for s in range(tiny_config.seeds):
+            raw = _assert_summary_reduces_raw(out, "nstep", s, summary.keys)
+            assert raw.shape == (20, len(METHODS), tiny_config.test_count)
 
     def test_spectrum_export(self, tiny_config, tmp_path):
         out = tmp_path / "spec"
@@ -548,7 +552,7 @@ class TestExperimentDrivers:
                 assert np.array_equal(getattr(results[stage], field), getattr(alone[stage], field))
         names = sorted(p.name for p in shared.iterdir())
         assert names == sorted(p.name for p in separate.iterdir())
-        assert "onestep_raw_seed1_edmd.csv" in names and "nstep_raw_seed1_edmd.csv" in names
+        assert "onestep_raw_seed1.npy" in names and "nstep_raw_seed1.npy" in names
         for name in names:
             assert (shared / name).read_bytes() == (separate / name).read_bytes(), name
 

@@ -1,4 +1,7 @@
+import re
+
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -42,3 +45,27 @@ def test_matrix_csv_round_trip_is_bit_exact(tmp_path_factory, shape, bits):
     nan = np.isnan(matrix)
     assert np.array_equal(np.isnan(loaded), nan)
     assert np.array_equal(loaded.view(np.uint64)[~nan], matrix.view(np.uint64)[~nan])
+
+
+GOOD_HEADER = '# {"max_degree": 1, "size": 3, "var_count": 2}'
+ROW = "1,0,0"
+
+
+@pytest.mark.parametrize(
+    "lines, problem",
+    [
+        (["# {var_count: 2}", ROW, ROW, ROW], "Expecting property name"),
+        (['# [2, 1, 3]', ROW, ROW, ROW], "JSON record"),
+        (['# {"max_degree": 1, "size": 3}', ROW, ROW, ROW], "var_count"),
+        (['# {"max_degree": 1, "size": 4, "var_count": 2}', ROW, ROW, ROW], "size 4"),
+        ([GOOD_HEADER, ROW, ROW], r"shape \(2, 3\)"),
+        ([GOOD_HEADER, ROW, "1,x,0", ROW], "'x'"),
+    ],
+    ids=["header-not-json", "header-not-record", "no-var-count", "size-disagrees", "too-few-rows", "not-a-number"],
+)
+def test_malformed_matrix_csv_is_an_error_naming_the_file(tmp_path, lines, problem):
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: ") + f".*{problem}"):
+        load_matrix_csv(path)
+

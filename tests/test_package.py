@@ -1,11 +1,13 @@
-"""The README's library quick start and override table, the package's public
-names and the names the benchmark hooks stay in step with the API; the suite
-runs its BLAS on the thread count that tests/conftest.py pins."""
+"""The README's library quick start, override table and output-file list,
+the package's public names and the names the benchmark hooks stay in step
+with the API; the suite runs its BLAS on the thread count that
+tests/conftest.py pins."""
 
 import argparse
 import ctypes
 import dataclasses
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -16,8 +18,11 @@ import numpy as np
 import pytest
 
 import koopseed
-from koopseed.cli import build_parser
+from koopseed import experiments
+from koopseed.cli import build_parser, main
 from koopseed.experiments import ExperimentConfig
+
+from test_experiments import tiny_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -67,6 +72,33 @@ def test_readme_override_table_matches_the_cli():
         for name, sub in commands.items()
     }
     assert _readme_overrides() == parsed
+
+
+def _readme_output_patterns():
+    # file name -> regex, from the README's "Output files" list; a
+    # <placeholder> stands for one name part without "_" or ".", * for any
+    section = README.read_text().split("## Output files", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"`([\w<>*-]+\.(?:csv|npy|txt))`", section)
+    return {n: re.sub(r"<\w+>", "[^_.]+", re.escape(n)).replace(r"\*", ".+") for n in names}
+
+
+def test_readme_output_list_names_every_written_file(tmp_path, monkeypatch):
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(tiny_config_dict(seeds=1)))
+    out = tmp_path / "out"
+    traj = ["--traj", str(out / "train_seed0.csv")]
+    runs = [["derive"], ["simulate", "--tests", "2"], ["train-online", *traj], ["train-batch", *traj], ["spectrum"]]
+    for command, *flags in runs:
+        main([command, "--config", str(config), "--out", str(out), *flags])
+    # every forecast labelled a fallback, so each scored stage writes its notes
+    spectral = experiments.forecast_matrices
+    monkeypatch.setattr(experiments, "forecast_matrices", lambda m, h: (spectral(m, h)[0], "matrix-power"))
+    for command in ("eval-onestep", "eval-nstep"):
+        main([command, "--config", str(config), "--out", str(out)])
+    written = sorted(p.name for p in out.iterdir())
+    patterns = _readme_output_patterns()
+    assert [n for n in written if not any(re.fullmatch(p, n) for p in patterns.values())] == []
+    assert [n for n, p in patterns.items() if not any(re.fullmatch(p, w) for w in written)] == []
 
 
 def test_all_names_resolve():
