@@ -423,6 +423,8 @@ def _write_notes(path, notes: list) -> None:
     if notes:
         with open(path, "w", newline="\n") as fh:
             fh.writelines(line + "\n" for line in notes)
+    elif os.path.exists(path):  # an earlier run's notes in a reused directory
+        os.remove(path)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Eigen-decomposition of Koopman matrices and state forecasting.
 
-Forecasts use eigenvalue/eigenfunction/mode triples: the eigenfunction is
-a left-eigenvector contraction with the dictionary, the mode projects the
-right eigenvector onto the state coordinates, and an n-step forecast raises
-the eigenvalues to the n-th power instead of iterating the matrix; a query
-costs one eig, one inverse and one complex product for all horizons. When the
-eigenbasis is unsound, forecast_matrices falls back to matrix powers.
+Forecasts use eigenvalue/eigenfunction/mode triples (eigenfunctions contract
+left eigenvectors with the dictionary, modes are right eigenvectors on the
+state coordinates) and raise eigenvalues to the n-th power instead of
+iterating the matrix. With conjugate eigenvalues paired, a query costs one
+eig, one real inverse and one real product for all horizons; an unsound
+eigenbasis falls back to matrix powers.
 """
 
 from dataclasses import dataclass
@@ -27,10 +27,7 @@ class DefectiveDecompositionError(RuntimeError):
 
 def state_projector(dictionary: Dictionary) -> np.ndarray:
     """D x N matrix selecting the degree-1 monomials: B @ Psi(x) = x."""
-    B = np.zeros((dictionary.var_count, len(dictionary)))
-    for i, k in enumerate(dictionary.state_indices()):
-        B[i, k] = 1.0
-    return B
+    return np.eye(len(dictionary))[dictionary.state_indices()]
 
 
 @dataclass
@@ -60,36 +57,54 @@ def eigen_order(mu: np.ndarray) -> np.ndarray:
     return np.lexsort((-mu.imag, -mu.real, -np.abs(mu)))
 
 
+def _conjugate_partners(mu: np.ndarray, *columns) -> np.ndarray:
+    """Each term's partner k (or -1): mu_k and column k of every ``columns``
+    array are bitwise conjugates of its own; a real term may partner itself.
+    The side-by-side guess of eigen_order is checked before a full search."""
+    terms = np.vstack((mu, *columns))  # one column per term
+    partner = np.minimum(np.arange(len(mu)) + np.sign(mu.imag).astype(int), len(mu) - 1)
+    if not (terms[:, partner] == terms.conj()).all():
+        j, k = np.nonzero((mu[:, None] == mu.conj()) & (mu.imag >= 0)[:, None])
+        keep = (terms[:, k] == terms[:, j].conj()).all(axis=0)
+        partner = np.full(len(mu), -1)
+        partner[k[keep]], partner[j[keep]] = j[keep], k[keep]
+        partner = np.where((partner >= 0) & (partner[partner] == np.arange(len(mu))), partner, -1)
+    return partner
+
+
 def decompose(model: KoopmanModel) -> SpectralDecomposition:
     """Eigen-decompose K into triples, ordered by eigen_order.
 
-    Right vectors are unit-norm; left vectors are the rows of the
-    right-eigenbasis inverse, which enforces biorthonormality directly.
-    Flagged defective when the inversion residual or eps * cond2(U) exceeds
-    SPECTRAL_TOL. As cond2(U) <= sqrt(n) |U^-1|_F <= n cond2(U) for unit
-    columns, that Frobenius bound decides unless eps times it lands in
-    (tol/2, n tol], the only band where the SVD behind np.linalg.cond runs.
+    Right vectors u are unit-norm. K is real, so eig's complex terms come in
+    exact conjugate pairs j, k (imag > 0 at j), and U is inverted through the
+    real basis V (Re u per real term; Re u_j, Im u_j per pair): the left
+    vectors are w_j = (V^-1_j - i V^-1_k) / 2 and w_k = conj(w_j). Defective
+    when a term has no partner, or when |V^-1 V - I| or eps * cond2(U) exceeds
+    SPECTRAL_TOL; as cond2(U) <= sqrt(n) |U^-1|_F <= n cond2(U), that bound
+    decides unless eps times it is in (tol/2, n tol], where np.linalg.cond runs.
     """
     K = np.asarray(model.matrix)
     if not np.isfinite(K).all():
         raise ValueError("Koopman matrix has non-finite entries")
     mu, U = np.linalg.eig(K)
     order = eigen_order(mu)
-    mu = mu[order]
-    U = U[:, order]
+    mu, U = mu[order], U[:, order]
     U = U / np.linalg.norm(U, axis=0)
 
-    defective = False
-    residual = np.inf
-    W = np.zeros_like(U)
+    n, down, partner = len(mu), mu.imag < 0, _conjugate_partners(mu, U)
+    defective = bool((partner < 0).any())
+    residual, W = np.inf, np.zeros((n, n), complex)
     try:
-        Uinv = np.linalg.inv(U)
-        residual = float(np.abs(Uinv @ U - np.eye(len(mu))).max())
-        W = Uinv.T
+        V = np.where(down, -U.imag, U.real)
+        Vinv = np.linalg.inv(V)
+        residual = float(np.abs(Vinv @ V - np.eye(n)).max())
+        rows = Vinv * np.where(mu.imag == 0, 1.0, 0.5)[:, None]
+        upper, lower = np.where(down, partner, np.arange(n)), np.where(down, np.arange(n), partner)
+        W.real, W.imag = rows[upper].T, (-np.sign(mu.imag)[:, None] * rows[lower]).T
         # left vectors are only accurate to eps * cond(U); an ill-conditioned
         # eigenbasis can still produce a deceptively small residual
-        basis_error = np.sqrt(len(mu)) * np.linalg.norm(Uinv) * np.finfo(float).eps
-        if SPECTRAL_TOL / 2 < basis_error <= len(mu) * SPECTRAL_TOL:
+        basis_error = np.sqrt(n) * np.linalg.norm(W) * np.finfo(float).eps
+        if SPECTRAL_TOL / 2 < basis_error <= n * SPECTRAL_TOL:
             basis_error = np.linalg.cond(U) * np.finfo(float).eps
         if not np.isfinite(residual) or residual > SPECTRAL_TOL or basis_error > SPECTRAL_TOL:
             defective = True
@@ -100,7 +115,7 @@ def decompose(model: KoopmanModel) -> SpectralDecomposition:
         eigenvalues=mu,
         right_vectors=U,
         left_vectors=W,
-        modes=state_projector(model.dictionary) @ U,
+        modes=U[model.dictionary.state_indices()],
         defective=defective,
         residual=residual,
     )
@@ -109,28 +124,36 @@ def decompose(model: KoopmanModel) -> SpectralDecomposition:
 def _spectral_forecasts(dec: SpectralDecomposition, horizons) -> np.ndarray:
     """Real (H, D, N) stack of M_n = sum_l v_l mu_l^n w_l^T, one per horizon.
 
-    M_n @ Psi(x) is the n-step state forecast sum_l v_l mu_l^n phi_l(x),
-    folded into one matrix so bulk evaluation is a single real matmul; all
-    horizons come from one (H*D, N) @ (N, N) complex product. The imaginary
-    residue is checked against SPECTRAL_TOL (times max(1, |M_n|)) per horizon
-    and discarded; real dynamics leave it at roundoff level. Raises
-    DefectiveDecompositionError for flagged decompositions and for a residue
-    above the tolerance at any horizon.
+    M_n @ Psi(x) is the n-step forecast sum_l v_l mu_l^n phi_l(x). Paired
+    terms (all of a decompose result) give the real (B V) L^n V^-1, read back
+    from modes and left vectors, with a block [[a, b], [-b, a]] per pair in
+    L^n (a + ib = mu_j^n): no imaginary residue, and one batched matmul keeps
+    horizons independent. Unpaired terms (hand-built only) use the complex
+    formula; DefectiveDecompositionError is raised for a flagged decomposition
+    or their imaginary residue above SPECTRAL_TOL * max(1, |M_n|) at a horizon.
     """
     if dec.defective:
         raise DefectiveDecompositionError("decomposition flagged defective")
-    h = np.asarray(horizons)
-    D, N = dec.modes.shape
-    weighted = dec.modes * dec.eigenvalues ** h[:, None, None]
-    M = (weighted.reshape(-1, N) @ dec.left_vectors.T).reshape(len(h), D, N)
-    scale = np.maximum(1.0, np.abs(M.real).max(axis=(1, 2), initial=0.0))
-    worst = np.abs(M.imag).max(axis=(1, 2), initial=0.0)
-    bad = worst > SPECTRAL_TOL * scale
-    if bad.any():
-        raise DefectiveDecompositionError(
-            f"imaginary residue {worst[bad][0]:.3e} at horizon {h[bad][0]} exceeds tolerance"
-        )
-    return M.real
+    h, mu, modes, left = np.asarray(horizons), dec.eigenvalues, dec.modes, dec.left_vectors
+    paired, down = _conjugate_partners(mu, modes, left) >= 0, mu.imag < 0
+    lead = np.where(down, mu.conj(), mu).astype(complex) ** h[:, None]  # mu_j^n at j and k
+    # powers below 1e-250 move no entry by 1e-240 but make slow subnormal products
+    lead = np.where(paired & (np.abs(lead) >= 1e-250), lead, 0.0)
+    BV, BVo = np.where(down, -modes.imag, modes.real), np.where(down, modes.real, modes.imag)
+    Vinv = (np.where(down, left.imag, left.real) * np.where(mu.imag == 0, 1.0, 2.0)).T
+    BVL = BV[:, None] * lead.real  # (D, H, N): numpy loops over whole (H, N) planes
+    BVL -= BVo[:, None] * (np.sign(mu.imag) * lead.imag)
+    M = BVL.swapaxes(0, 1) @ Vinv
+    if not paired.all():
+        rest = (modes[:, ~paired] * mu[~paired] ** h[:, None, None]) @ left[:, ~paired].T
+        M += rest.real
+        worst = np.abs(rest.imag).max(axis=(1, 2), initial=0.0)
+        bad = worst > SPECTRAL_TOL * np.maximum(1.0, np.abs(M).max(axis=(1, 2), initial=0.0))
+        if bad.any():
+            raise DefectiveDecompositionError(
+                f"imaginary residue {worst[bad][0]:.3e} at horizon {h[bad][0]} exceeds tolerance"
+            )
+    return M
 
 
 def prediction_matrix(dec: SpectralDecomposition, n: int) -> np.ndarray:

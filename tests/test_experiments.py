@@ -541,6 +541,23 @@ class TestExperimentDrivers:
         assert notes == "seed=0 checkpoint=130 method=proposed forecast-path=matrix-power\n"
         assert not (out / "nstep_notes.txt").exists()
 
+    def test_normal_run_removes_stale_notes(self, tiny_config, tmp_path, monkeypatch):
+        # every forecast forced onto the matrix-power path, then a normal run
+        # into the same directory: the first run's notes must not remain
+        spectral_path = experiments.forecast_matrices
+
+        def forced(model, horizons):
+            return spectral_path(model, horizons)[0], "matrix-power"
+
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "forecast_matrices", forced)
+            run_experiments(tiny_config, ("onestep", "nstep"), tmp_path)
+        notes = (tmp_path / "onestep_notes.txt").read_text().splitlines()
+        assert len(notes) == tiny_config.seeds * len(tiny_config.checkpoints()) * len(METHODS) == 8
+        assert (tmp_path / "nstep_notes.txt").read_text().count("forecast-path=matrix-power") == 4
+        run_experiments(tiny_config, ("onestep", "nstep"), tmp_path)
+        assert not any(p.suffix == ".txt" for p in tmp_path.iterdir())
+
     def test_shared_pass_matches_separate_stages(self, tiny_config, tmp_path):
         shared, separate = tmp_path / "shared", tmp_path / "separate"
         results = run_experiments(tiny_config, out_dir=shared)

@@ -68,6 +68,22 @@ class TestDecompose:
         assert np.abs(gram - np.eye(len(d))).max() <= 1e-8
         assert dec.residual <= 1e-8
 
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (2, 2), (2, 3)]))
+    def test_left_vectors_are_conjugate_paired(self, seed, shape):
+        # wherever eig pairs mu_k = conj(mu_j), the left and right vectors are
+        # bitwise conjugates too; a real eigenvalue has real vectors
+        d = build_dictionary(*shape)
+        rng = np.random.default_rng(seed)
+        dec = decompose(KoopmanModel(d, random_diagonalizable(len(d), rng)))
+        mu, U, W = dec.eigenvalues, dec.right_vectors, dec.left_vectors
+        assert not dec.defective
+        for j in np.flatnonzero(mu.imag >= 0):
+            (k,) = np.flatnonzero(mu == mu[j].conj())
+            assert np.array_equal(W[:, k], W[:, j].conj())
+            assert np.array_equal(U[:, k], U[:, j].conj())
+        assert (mu.imag != 0).sum() == 2 * (mu.imag > 0).sum()
+        assert np.abs(W.T @ U - np.eye(len(d))).max() <= 1e-8
+
     def test_conjugate_pairing_for_real_matrix(self):
         d = build_dictionary(2, 2)
         rng = np.random.default_rng(1)
@@ -278,6 +294,40 @@ class TestForecastMatrices:
         for n in horizons:
             rel = np.linalg.norm(mats[n] - oracle[n]) / max(1.0, np.linalg.norm(oracle[n]))
             assert rel <= 1e-6
+
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_repeated_complex_pair(self, seed, exact):
+        # blockdiag(R, R, diagonal) with R a rotation-scaling block repeats a
+        # complex pair. Taken as it is, eig returns the pair bitwise repeated
+        # and eigen_order puts both upper terms before both lower ones, so a
+        # pair's terms are not adjacent. Conjugated by a well-conditioned V,
+        # roundoff may split the pair either way. No pairing may be wrong.
+        d = build_dictionary(2, 2)
+        N = len(d)
+        rng = np.random.default_rng(seed)
+        theta, radius = rng.uniform(0.2, 2.9), rng.uniform(0.5, 1.0)
+        R = radius * np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+        K = np.diag(np.r_[0.0, 0.0, 0.0, 0.0, rng.uniform(-0.45, 0.45, N - 4)])
+        K[:2, :2] = K[2:4, 2:4] = R
+        if not exact:
+            Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+            V = Q * rng.uniform(0.5, 2.0, N)
+            K = V @ K @ np.linalg.inv(V)
+        model = KoopmanModel(d, K)
+        dec = decompose(model)
+        mu = dec.eigenvalues
+        if exact:
+            assert mu[0] == mu[1] and mu[0].imag > 0 and mu[2] == mu[3] == mu[0].conj()
+        if not dec.defective:
+            assert np.abs(dec.left_vectors.T @ dec.right_vectors - np.eye(N)).max() <= 1e-8
+        horizons = range(1, 31)
+        mats, path = forecast_matrices(model, horizons)
+        assert path == "spectral" or not exact
+        if path == "spectral":
+            oracle = power_forecasts(K, state_projector(d), horizons)
+            for n in horizons:
+                rel = np.linalg.norm(mats[n] - oracle[n]) / max(1.0, np.linalg.norm(oracle[n]))
+                assert rel <= 1e-6
 
     @given(st.integers(0, 2**32 - 1))
     def test_stacked_horizons_equal_single_products(self, seed):
