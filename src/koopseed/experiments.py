@@ -9,6 +9,7 @@ and matrices are written as CSV, and each stage's per-point errors as one
 """
 
 import dataclasses
+import fnmatch
 import json
 import os
 from dataclasses import dataclass
@@ -419,14 +420,6 @@ def _aggregate_summaries(per_seed: list) -> ErrorSummary:
     return ErrorSummary(per_seed[0].keys, _by_cell(np.mean, means), _by_cell(np.mean, stds), count)
 
 
-def _write_notes(path, notes: list) -> None:
-    if notes:
-        with open(path, "w", newline="\n") as fh:
-            fh.writelines(line + "\n" for line in notes)
-    elif os.path.exists(path):  # an earlier run's notes in a reused directory
-        os.remove(path)
-
-
 # ---------------------------------------------------------------------------
 # Experiment drivers
 # ---------------------------------------------------------------------------
@@ -511,10 +504,10 @@ def run_experiments(
     scored stage's per-point errors of seed s as ``<stage>_raw_seed<s>.npy``:
     the scorer's ``errors`` array, where ``errors[i, j]`` holds the errors of
     ``keys[i]`` and ``METHODS[j]`` (summary row ``2 * i + j``) and
-    ``np.mean(errors[i, j])`` is that row's per-seed mean.
+    ``np.mean(errors[i, j])`` is that row's per-seed mean. A reused
+    ``out_dir`` first loses the per-seed, raw and notes files of the stages
+    run, so none of an earlier run's is left beside the new summaries.
     """
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
     dictionary = config.dictionary()
     spectrum_pairs = config.spectrum_train_pairs
     needed = {
@@ -524,6 +517,14 @@ def run_experiments(
     }
     pairs = sorted(set().union(*(needed[stage] for stage in stages)))
     scored = [stage for stage in _SCORED if stage in stages]
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
+        stale = ["spectrum_seed*_*.csv"] if "spectrum" in stages else []
+        for stage in scored:
+            stale += [f"{stage}_summary_seed*.csv", f"{stage}_raw_seed*.npy", f"{stage}_notes.txt"]
+        for name in os.listdir(out_dir):
+            if any(fnmatch.fnmatch(name, pattern) for pattern in stale):
+                os.remove(os.path.join(out_dir, name))
     per_seed = {stage: [] for stage in scored}
     notes = {stage: [] for stage in scored}
     counts = {m: [] for m in METHODS}
@@ -552,7 +553,9 @@ def run_experiments(
     if out_dir is not None:
         for stage, summary in results.items():
             summary.write_csv(os.path.join(out_dir, f"{stage}_summary.csv"))
-            _write_notes(os.path.join(out_dir, f"{stage}_notes.txt"), notes[stage])
+            if notes[stage]:
+                with open(os.path.join(out_dir, f"{stage}_notes.txt"), "w", newline="\n") as fh:
+                    fh.writelines(line + "\n" for line in notes[stage])
     if "spectrum" in stages:
         results["spectrum"] = {
             "pairs": spectrum_pairs,

@@ -3,9 +3,10 @@
 Forecasts use eigenvalue/eigenfunction/mode triples (eigenfunctions contract
 left eigenvectors with the dictionary, modes are right eigenvectors on the
 state coordinates) and raise eigenvalues to the n-th power instead of
-iterating the matrix. With conjugate eigenvalues paired, a query costs one
-eig, one real inverse and one real product for all horizons; an unsound
-eigenbasis falls back to matrix powers.
+iterating the matrix. A real K's complex terms come in conjugate pairs, so
+they are kept in a real eigenbasis: a query costs one eig, one real inverse
+and one real product for all horizons; an unsound eigenbasis falls back to
+matrix powers.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,7 @@ from .dictionary import Dictionary
 from .model import KoopmanModel
 
 
-# Largest accepted eigenbasis inversion error and relative imaginary residue
-# of a spectral forecast.
+# Largest accepted eigenbasis inversion error and conditioning certificate.
 SPECTRAL_TOL = 1e-6
 
 
@@ -32,19 +32,23 @@ def state_projector(dictionary: Dictionary) -> np.ndarray:
 
 @dataclass
 class SpectralDecomposition:
-    """Eigen-triples of a Koopman matrix, biorthonormally paired.
+    """Eigen-triples of a real Koopman matrix and the inverse of its real
+    eigenbasis.
 
-    ``left_vectors`` columns w_l satisfy w_l^T u_k = delta_lk against the
-    ``right_vectors`` columns u_k (plain transpose, no conjugation), so
-    eigenfunction values are left_vectors.T @ Psi(x) and modes are the state
-    rows of right_vectors. When the eigenbasis is too ill-conditioned to
-    invert accurately the decomposition is flagged ``defective``, and
+    ``right_vectors`` columns u_l are unit-norm eigenvectors; a complex pair
+    j, k has mu_k = conj(mu_j), u_k = conj(u_j) and imag > 0 at j. The real
+    basis V has V_l = Re u_l at a real term, V_j = Re u_j and V_k = Im u_j at
+    a pair, and ``basis_inverse`` is V^-1. So V^-1 @ Psi(x) holds the
+    eigenfunction values: phi_l at a real term, 2 Re phi_j at the pair's
+    upper term j and -2 Im phi_j at its lower term k. ``modes`` are the
+    state rows of right_vectors. When the eigenbasis is too ill-conditioned
+    to invert accurately the decomposition is flagged ``defective``, and
     forecast_matrices falls back to matrix powers.
     """
 
     eigenvalues: np.ndarray
     right_vectors: np.ndarray
-    left_vectors: np.ndarray
+    basis_inverse: np.ndarray
     modes: np.ndarray
     defective: bool
     residual: float
@@ -57,53 +61,39 @@ def eigen_order(mu: np.ndarray) -> np.ndarray:
     return np.lexsort((-mu.imag, -mu.real, -np.abs(mu)))
 
 
-def _conjugate_partners(mu: np.ndarray, *columns) -> np.ndarray:
-    """Each term's partner k (or -1): mu_k and column k of every ``columns``
-    array are bitwise conjugates of its own; a real term may partner itself.
-    The side-by-side guess of eigen_order is checked before a full search."""
-    terms = np.vstack((mu, *columns))  # one column per term
-    partner = np.minimum(np.arange(len(mu)) + np.sign(mu.imag).astype(int), len(mu) - 1)
-    if not (terms[:, partner] == terms.conj()).all():
-        j, k = np.nonzero((mu[:, None] == mu.conj()) & (mu.imag >= 0)[:, None])
-        keep = (terms[:, k] == terms[:, j].conj()).all(axis=0)
-        partner = np.full(len(mu), -1)
-        partner[k[keep]], partner[j[keep]] = j[keep], k[keep]
-        partner = np.where((partner >= 0) & (partner[partner] == np.arange(len(mu))), partner, -1)
-    return partner
-
-
 def decompose(model: KoopmanModel) -> SpectralDecomposition:
     """Eigen-decompose K into triples, ordered by eigen_order.
 
-    Right vectors u are unit-norm. K is real, so eig's complex terms come in
-    exact conjugate pairs j, k (imag > 0 at j), and U is inverted through the
-    real basis V (Re u per real term; Re u_j, Im u_j per pair): the left
-    vectors are w_j = (V^-1_j - i V^-1_k) / 2 and w_k = conj(w_j). Defective
-    when a term has no partner, or when |V^-1 V - I| or eps * cond2(U) exceeds
-    SPECTRAL_TOL; as cond2(U) <= sqrt(n) |U^-1|_F <= n cond2(U), that bound
-    decides unless eps times it is in (tol/2, n tol], where np.linalg.cond runs.
+    Right vectors are unit-norm. eig lists each complex pair of a real K side
+    by side, imag > 0 first; defective when a term there is not the bitwise
+    conjugate of its neighbour, or when |V^-1 V - I| or eps * cond2(U)
+    exceeds SPECTRAL_TOL. U^-1's rows are V^-1_l at a real term and
+    (V^-1_j -+ i V^-1_k) / 2 at a pair, so |U^-1|_F = |S V^-1|_F with S = 1
+    on real rows and 1/sqrt(2) on pair rows. As cond2(U) <= sqrt(n) |U^-1|_F
+    <= n cond2(U), that bound decides unless eps times it is in
+    (tol/2, n tol], where np.linalg.cond runs.
     """
     K = np.asarray(model.matrix)
     if not np.isfinite(K).all():
         raise ValueError("Koopman matrix has non-finite entries")
     mu, U = np.linalg.eig(K)
+    n = len(mu)
+    partner = np.minimum(np.arange(n) + np.sign(mu.imag).astype(int), n - 1)
+    defective = not ((mu[partner] == mu.conj()).all() and (U[:, partner] == U.conj()).all())
     order = eigen_order(mu)
     mu, U = mu[order], U[:, order]
     U = U / np.linalg.norm(U, axis=0)
 
-    n, down, partner = len(mu), mu.imag < 0, _conjugate_partners(mu, U)
-    defective = bool((partner < 0).any())
-    residual, W = np.inf, np.zeros((n, n), complex)
+    residual, Vinv = np.inf, np.zeros((n, n))
     try:
-        V = np.where(down, -U.imag, U.real)
-        Vinv = np.linalg.inv(V)
+        V = np.where(mu.imag < 0, -U.imag, U.real)
+        # F-ordered: a C-ordered V^-1 rounds the forecast product differently
+        Vinv = np.asfortranarray(np.linalg.inv(V))
         residual = float(np.abs(Vinv @ V - np.eye(n)).max())
-        rows = Vinv * np.where(mu.imag == 0, 1.0, 0.5)[:, None]
-        upper, lower = np.where(down, partner, np.arange(n)), np.where(down, np.arange(n), partner)
-        W.real, W.imag = rows[upper].T, (-np.sign(mu.imag)[:, None] * rows[lower]).T
-        # left vectors are only accurate to eps * cond(U); an ill-conditioned
+        # V^-1 is only accurate to eps * cond(U); an ill-conditioned
         # eigenbasis can still produce a deceptively small residual
-        basis_error = np.sqrt(n) * np.linalg.norm(W) * np.finfo(float).eps
+        scale = np.where(mu.imag == 0, 1.0, np.sqrt(0.5))[:, None]
+        basis_error = np.sqrt(n) * np.linalg.norm(scale * Vinv) * np.finfo(float).eps
         if SPECTRAL_TOL / 2 < basis_error <= n * SPECTRAL_TOL:
             basis_error = np.linalg.cond(U) * np.finfo(float).eps
         if not np.isfinite(residual) or residual > SPECTRAL_TOL or basis_error > SPECTRAL_TOL:
@@ -114,7 +104,7 @@ def decompose(model: KoopmanModel) -> SpectralDecomposition:
     return SpectralDecomposition(
         eigenvalues=mu,
         right_vectors=U,
-        left_vectors=W,
+        basis_inverse=Vinv,
         modes=U[model.dictionary.state_indices()],
         defective=defective,
         residual=residual,
@@ -122,38 +112,25 @@ def decompose(model: KoopmanModel) -> SpectralDecomposition:
 
 
 def _spectral_forecasts(dec: SpectralDecomposition, horizons) -> np.ndarray:
-    """Real (H, D, N) stack of M_n = sum_l v_l mu_l^n w_l^T, one per horizon.
+    """Real (H, D, N) stack of M_n = (B V) L^n V^-1, one per horizon.
 
-    M_n @ Psi(x) is the n-step forecast sum_l v_l mu_l^n phi_l(x). Paired
-    terms (all of a decompose result) give the real (B V) L^n V^-1, read back
-    from modes and left vectors, with a block [[a, b], [-b, a]] per pair in
-    L^n (a + ib = mu_j^n): no imaginary residue, and one batched matmul keeps
-    horizons independent. Unpaired terms (hand-built only) use the complex
-    formula; DefectiveDecompositionError is raised for a flagged decomposition
-    or their imaginary residue above SPECTRAL_TOL * max(1, |M_n|) at a horizon.
+    M_n @ Psi(x) is the n-step forecast sum_l v_l mu_l^n phi_l(x). B V is
+    read from the modes, and L^n is real block-diagonal: mu_l^n at a real
+    term and a block [[a, b], [-b, a]] per pair (a + ib = mu_j^n). One
+    batched matmul keeps horizons independent. Raises
+    DefectiveDecompositionError for a flagged decomposition.
     """
     if dec.defective:
         raise DefectiveDecompositionError("decomposition flagged defective")
-    h, mu, modes, left = np.asarray(horizons), dec.eigenvalues, dec.modes, dec.left_vectors
-    paired, down = _conjugate_partners(mu, modes, left) >= 0, mu.imag < 0
+    h, mu, modes = np.asarray(horizons), dec.eigenvalues, dec.modes
+    down = mu.imag < 0
     lead = np.where(down, mu.conj(), mu).astype(complex) ** h[:, None]  # mu_j^n at j and k
     # powers below 1e-250 move no entry by 1e-240 but make slow subnormal products
-    lead = np.where(paired & (np.abs(lead) >= 1e-250), lead, 0.0)
+    lead = np.where(np.abs(lead) >= 1e-250, lead, 0.0)
     BV, BVo = np.where(down, -modes.imag, modes.real), np.where(down, modes.real, modes.imag)
-    Vinv = (np.where(down, left.imag, left.real) * np.where(mu.imag == 0, 1.0, 2.0)).T
     BVL = BV[:, None] * lead.real  # (D, H, N): numpy loops over whole (H, N) planes
     BVL -= BVo[:, None] * (np.sign(mu.imag) * lead.imag)
-    M = BVL.swapaxes(0, 1) @ Vinv
-    if not paired.all():
-        rest = (modes[:, ~paired] * mu[~paired] ** h[:, None, None]) @ left[:, ~paired].T
-        M += rest.real
-        worst = np.abs(rest.imag).max(axis=(1, 2), initial=0.0)
-        bad = worst > SPECTRAL_TOL * np.maximum(1.0, np.abs(M).max(axis=(1, 2), initial=0.0))
-        if bad.any():
-            raise DefectiveDecompositionError(
-                f"imaginary residue {worst[bad][0]:.3e} at horizon {h[bad][0]} exceeds tolerance"
-            )
-    return M
+    return BVL.swapaxes(0, 1) @ dec.basis_inverse
 
 
 def prediction_matrix(dec: SpectralDecomposition, n: int) -> np.ndarray:
@@ -166,11 +143,11 @@ def forecast_matrices(model: KoopmanModel, horizons) -> tuple:
     eigenbasis is sound, otherwise via explicit matrix powers.
 
     Horizons must be non-negative integers (0 gives the state projector);
-    anything else raises ValueError before either path runs.
+    anything else, a bool included, raises ValueError before either path runs.
     Returns (matrices dict, path) with path in {"spectral", "matrix-power"}.
     """
     horizons = list(horizons)
-    invalid = [n for n in horizons if not isinstance(n, (int, np.integer)) or n < 0]
+    invalid = [n for n in horizons if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0]
     if invalid:
         raise ValueError(f"forecast horizon {invalid[0]!r} is not a non-negative integer")
     horizons = sorted(set(int(n) for n in horizons))

@@ -558,6 +558,29 @@ class TestExperimentDrivers:
         run_experiments(tiny_config, ("onestep", "nstep"), tmp_path)
         assert not any(p.suffix == ".txt" for p in tmp_path.iterdir())
 
+    def test_run_without_raw_removes_stale_raw_files(self, tiny_config, tmp_path):
+        run_experiments(tiny_config, ("onestep", "nstep"), tmp_path, write_raw=True)
+        assert len(list(tmp_path.glob("*.npy"))) == 2 * tiny_config.seeds
+        run_experiments(tiny_config, ("onestep", "nstep"), tmp_path, write_raw=False)
+        assert not list(tmp_path.glob("*.npy"))
+
+    def test_run_with_fewer_seeds_removes_stale_seed_files(self, tiny_config, tmp_path):
+        run_experiments(tiny_config, out_dir=tmp_path)
+        assert any("seed1" in p.name for p in tmp_path.iterdir())
+        run_experiments(override_config(tiny_config, seeds=1), out_dir=tmp_path)
+        fresh = tmp_path / "fresh"
+        run_experiments(override_config(tiny_config, seeds=1), out_dir=fresh)
+        names = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
+        assert names == sorted(p.name for p in fresh.iterdir())
+        assert not any("seed1" in name for name in names)
+
+    def test_run_keeps_the_files_of_stages_it_does_not_run(self, tiny_config, tmp_path):
+        run_experiments(tiny_config, ("onestep",), tmp_path)
+        onestep = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        run_experiments(tiny_config, ("nstep",), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name.startswith("onestep")} == onestep
+        assert (tmp_path / "nstep_raw_seed1.npy").exists()
+
     def test_shared_pass_matches_separate_stages(self, tiny_config, tmp_path):
         shared, separate = tmp_path / "shared", tmp_path / "separate"
         results = run_experiments(tiny_config, out_dir=shared)

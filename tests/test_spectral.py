@@ -2,7 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from koopseed.dictionary import build_dictionary
@@ -11,8 +11,6 @@ from koopseed.model import KoopmanModel
 from koopseed.spectral import (
     SPECTRAL_TOL,
     DefectiveDecompositionError,
-    SpectralDecomposition,
-    _spectral_forecasts,
     decompose,
     forecast_matrices,
     prediction_matrix,
@@ -30,6 +28,26 @@ def random_diagonalizable(n, rng, spectral_radius=1.0):
     K = rng.standard_normal((n, n)) * 0.3 + np.eye(n) * 0.2
     radius = np.abs(np.linalg.eigvals(K)).max()
     return K * (spectral_radius / radius)
+
+
+def real_basis(dec):
+    """The real eigenbasis V whose inverse is dec.basis_inverse: Re u_l at a
+    real term and at a pair's upper term j, Im u_j at its lower term k."""
+    U = dec.right_vectors
+    return np.where(dec.eigenvalues.imag < 0, -U.imag, U.real)
+
+
+def left_vectors(dec):
+    """Complex left eigenvectors W (W.T @ U = I), rebuilt from basis_inverse:
+    w_l = V^-1_l at a real term, w_j = (V^-1_j - i V^-1_k) / 2 and
+    w_k = conj(w_j) at a pair, whose k holds the conjugates of j's vector."""
+    mu, U, Vinv = dec.eigenvalues, dec.right_vectors, dec.basis_inverse
+    W = Vinv.T.astype(complex)
+    for j in np.flatnonzero(mu.imag > 0):
+        k = np.flatnonzero((mu == mu[j].conj()) & (U == U[:, [j]].conj()).all(axis=0))[0]
+        W[:, j] = (Vinv[j] - 1j * Vinv[k]) / 2
+        W[:, k] = W[:, j].conj()
+    return W
 
 
 def power_forecasts(K, B, horizons):
@@ -64,18 +82,19 @@ class TestDecompose:
         d = build_dictionary(2, 3)
         rng = np.random.default_rng(0)
         dec = decompose(KoopmanModel(d, random_diagonalizable(len(d), rng)))
-        gram = dec.left_vectors.T @ dec.right_vectors
+        gram = dec.basis_inverse @ real_basis(dec)
         assert np.abs(gram - np.eye(len(d))).max() <= 1e-8
         assert dec.residual <= 1e-8
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (2, 2), (2, 3)]))
     def test_left_vectors_are_conjugate_paired(self, seed, shape):
-        # wherever eig pairs mu_k = conj(mu_j), the left and right vectors are
-        # bitwise conjugates too; a real eigenvalue has real vectors
+        # wherever eig pairs mu_k = conj(mu_j), the right vectors and the left
+        # vectors read from basis_inverse are bitwise conjugates too; a real
+        # eigenvalue has real vectors
         d = build_dictionary(*shape)
         rng = np.random.default_rng(seed)
         dec = decompose(KoopmanModel(d, random_diagonalizable(len(d), rng)))
-        mu, U, W = dec.eigenvalues, dec.right_vectors, dec.left_vectors
+        mu, U, W = dec.eigenvalues, dec.right_vectors, left_vectors(dec)
         assert not dec.defective
         for j in np.flatnonzero(mu.imag >= 0):
             (k,) = np.flatnonzero(mu == mu[j].conj())
@@ -114,20 +133,35 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(KoopmanModel(d, np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
-    @given(st.integers(0, 2**32 - 1), st.floats(7.0, 12.0), st.sampled_from([(1, 2), (2, 2), (2, 3)]))
-    def test_defective_flag_equals_its_definition(self, seed, log_cond, shape):
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.floats(7.0, 12.0),
+        st.sampled_from([(1, 2), (2, 2), (2, 3)]),
+        st.booleans(),
+    )
+    # pair rows put this certificate at 0.43 tol, so weighing them by 1 instead
+    # of 1/sqrt(2) would move it into the band
+    @example(seed=1, log_cond=8.9, shape=(2, 2), pairs=True)
+    def test_defective_flag_equals_its_definition(self, seed, log_cond, shape, pairs):
         # K = V diag(lam) V^-1 with unit-norm eigenvectors and cond2(V) close
         # to 10**log_cond, which puts the Frobenius certificate below, inside
         # and above the band where the SVD decides. Two eigenvalues
         # 2e-log_cond apart share a unit off-diagonal; K is triangular up to
         # a permutation, so eig returns its eigenvectors at that conditioning.
+        # With pairs, kron with a rotation turns them into two complex pairs,
+        # so the large rows of V^-1 are pair rows, weighed by 1/sqrt(2).
         d = build_dictionary(*shape)
         N = len(d)
+        assume(N >= 4 or not pairs)
         rng = np.random.default_rng(seed)
         lam = rng.uniform(-1.0, 1.0, N)
         lam[1] = lam[0] + 2.0 * 10.0**-log_cond
         K = np.diag(lam)
         K[0, 1] = 1.0
+        if pairs:
+            theta = rng.uniform(0.2, 2.9)
+            rotation = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            K[:4, :4] = np.kron(K[:2, :2], rotation)
         perm = rng.permutation(N)
         K = K[np.ix_(perm, perm)]
         with mock.patch.object(np.linalg, "cond", wraps=np.linalg.cond) as cond:
@@ -139,7 +173,8 @@ class TestDecompose:
             or np.linalg.cond(dec.right_vectors) * eps > SPECTRAL_TOL
         )
         assert dec.defective == definition
-        certificate = eps * np.sqrt(N) * np.linalg.norm(dec.left_vectors)
+        scale = np.where(dec.eigenvalues.imag == 0, 1.0, np.sqrt(0.5))[:, None]
+        certificate = np.sqrt(N) * np.linalg.norm(scale * dec.basis_inverse) * eps
         assert cond.called == (SPECTRAL_TOL / 2 < certificate <= N * SPECTRAL_TOL)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 3), st.sampled_from([(1, 3), (2, 2), (2, 3)]))
@@ -201,15 +236,15 @@ class TestPredict:
             assert rel <= 1e-6
 
     def test_reconstruction_completeness(self):
-        # sum_l v_l phi_l(x) must reproduce the state itself
+        # sum_l v_l phi_l(x) = B V (V^-1 Psi(x)) must reproduce the state itself
         d = build_dictionary(3, 2)
         rng = np.random.default_rng(5)
         dec = decompose(KoopmanModel(d, random_diagonalizable(len(d), rng)))
+        BV = state_projector(d) @ real_basis(dec)
         for _ in range(100):
             x = rng.uniform(-2, 2, 3)
-            recon = dec.modes @ (d.evaluate(x) @ dec.left_vectors)
-            assert np.abs(recon.imag).max() <= 1e-8
-            assert np.linalg.norm(recon.real - x) <= 1e-6 * max(1.0, np.linalg.norm(x))
+            recon = BV @ (dec.basis_inverse @ d.evaluate(x))
+            assert np.linalg.norm(recon - x) <= 1e-6 * max(1.0, np.linalg.norm(x))
 
     def test_real_outputs_small_imaginary_residue(self):
         d = build_dictionary(2, 2)
@@ -217,7 +252,7 @@ class TestPredict:
         dec = decompose(KoopmanModel(d, random_diagonalizable(len(d), rng)))
         for _ in range(20):
             x = rng.uniform(-1, 1, 2)
-            phi = d.evaluate(x) @ dec.left_vectors
+            phi = d.evaluate(x) @ left_vectors(dec)
             y = (dec.eigenvalues * phi) @ dec.modes.T
             assert np.abs(y.imag).max() <= 1e-8
 
@@ -229,24 +264,9 @@ class TestPredict:
             M = prediction_matrix(dec, n)
             for _ in range(5):
                 x = rng.uniform(-1, 1, 2)
-                pointwise = (dec.eigenvalues**n * (d.evaluate(x) @ dec.left_vectors)) @ dec.modes.T
+                pointwise = (dec.eigenvalues**n * (d.evaluate(x) @ left_vectors(dec))) @ dec.modes.T
                 assert np.abs(pointwise.imag).max() <= 1e-10
                 assert np.allclose(M @ d.evaluate(x), pointwise.real, atol=1e-10)
-
-    def test_unpaired_complex_eigenvalue_names_the_horizon(self):
-        # 0.5j has no conjugate partner: its odd powers leave an imaginary
-        # residue of 0.5**n, its even powers none
-        dec = SpectralDecomposition(
-            eigenvalues=np.array([1.0, 0.5j]),
-            right_vectors=np.eye(2, dtype=complex),
-            left_vectors=np.eye(2, dtype=complex),
-            modes=np.array([[0.0, 1.0]], dtype=complex),
-            defective=False,
-            residual=0.0,
-        )
-        assert np.array_equal(_spectral_forecasts(dec, [0, 2]), [[[0.0, 1.0]], [[0.0, -0.25]]])
-        with pytest.raises(DefectiveDecompositionError, match="residue 1.250e-01 at horizon 3 "):
-            _spectral_forecasts(dec, [0, 2, 3, 1])
 
     def test_matrix_power_fallback_for_defective(self):
         d = build_dictionary(2, 2)
@@ -298,10 +318,11 @@ class TestForecastMatrices:
     @given(st.integers(0, 2**32 - 1), st.booleans())
     def test_repeated_complex_pair(self, seed, exact):
         # blockdiag(R, R, diagonal) with R a rotation-scaling block repeats a
-        # complex pair. Taken as it is, eig returns the pair bitwise repeated
-        # and eigen_order puts both upper terms before both lower ones, so a
-        # pair's terms are not adjacent. Conjugated by a well-conditioned V,
-        # roundoff may split the pair either way. No pairing may be wrong.
+        # complex pair. Taken as it is, eig returns the pair bitwise repeated,
+        # each copy's terms side by side, and eigen_order then puts both upper
+        # terms before both lower ones, so pairs are checked in eig's order.
+        # Conjugated by a well-conditioned V, roundoff may split the pair
+        # either way. No pairing may be wrong.
         d = build_dictionary(2, 2)
         N = len(d)
         rng = np.random.default_rng(seed)
@@ -319,7 +340,7 @@ class TestForecastMatrices:
         if exact:
             assert mu[0] == mu[1] and mu[0].imag > 0 and mu[2] == mu[3] == mu[0].conj()
         if not dec.defective:
-            assert np.abs(dec.left_vectors.T @ dec.right_vectors - np.eye(N)).max() <= 1e-8
+            assert np.abs(dec.basis_inverse @ real_basis(dec) - np.eye(N)).max() <= 1e-8
         horizons = range(1, 31)
         mats, path = forecast_matrices(model, horizons)
         assert path == "spectral" or not exact
@@ -350,7 +371,7 @@ class TestForecastMatrices:
             assert np.allclose(mats[0], state_projector(d), rtol=0.0, atol=1e-14)
             assert forecast_matrices(KoopmanModel(d, K), [])[0] == {}
 
-    @pytest.mark.parametrize("bad", [-1, 2.7])
+    @pytest.mark.parametrize("bad", [-1, 2.7, True])
     def test_invalid_horizon_rejected_on_spectral_path(self, bad):
         # K^-1 exists here, so a negative horizon used to return 2.0 at x
         model = KoopmanModel(build_dictionary(1, 2), np.diag([1.0, 0.5, 0.25]))
@@ -358,7 +379,7 @@ class TestForecastMatrices:
         with pytest.raises(ValueError, match="horizon"):
             forecast_matrices(model, [1, bad])
 
-    @pytest.mark.parametrize("bad", [-1, 2.7])
+    @pytest.mark.parametrize("bad", [-1, 2.7, True])
     def test_invalid_horizon_rejected_on_matrix_power_path(self, bad):
         # a Jordan K takes matrix powers, where a negative horizon gave K^0
         model = KoopmanModel(build_dictionary(1, 2), JORDAN_K)
