@@ -41,9 +41,10 @@ SPECTRUM_THRESHOLD = 0.99
 
 # States per block of one-step scoring (a block holds whole trajectories, at
 # least one). Like dictionary._CHUNK_ROWS, it bounds memory independently of
-# the test set: 20 000 states are about 13 MB of Psi at 84 monomials, against
-# 134 MB for the whole vdp test set. Each block costs one onestep_errors call
-# per forecast, so much smaller blocks only add calls.
+# the test set: one block's Psi is alive at a time, 20 000 states or about
+# 13 MB at 84 monomials, against 134 MB for the whole vdp test set. Each
+# block costs one onestep_errors call per forecast, so much smaller blocks
+# only add calls.
 _SCORE_BLOCK_STATES = 20_000
 
 # Stable codes for per-purpose RNG streams; never renumber.
@@ -440,8 +441,9 @@ def _onestep_scores(config, dictionary, s, data, models, notes) -> tuple:
     The forecasts are formed first. The test set is then scored in blocks of
     whole trajectories of at most ``_SCORE_BLOCK_STATES`` states (one
     trajectory when a trajectory is longer than that): each
-    block's Psi is evaluated once and passed to ``onestep_errors`` with every
-    forecast. Every error is computed elementwise or by a product whose
+    block's Psi is evaluated once, passed to ``onestep_errors`` with every
+    forecast and released before the next block's, so one block's Psi is
+    alive at a time. Every error is computed elementwise or by a product whose
     per-element order does not depend on the block, so the errors equal
     those of one pass over the whole Psi tensor, which is never held.
     """
@@ -462,6 +464,9 @@ def _onestep_scores(config, dictionary, s, data, models, notes) -> tuple:
         psi = dictionary.evaluate(states)
         for cell, forecast in forecasts.items():
             errors[cell][lo : lo + step] = onestep_errors(forecast, psi, states)
+        # Rebinding psi would free this block's Psi only after the next one
+        # is built, so two blocks would be alive at the peak.
+        del psi
     return keys, errors
 
 
@@ -508,6 +513,11 @@ def run_experiments(
     ``out_dir`` first loses the per-seed, raw and notes files of the stages
     run, so none of an earlier run's is left beside the new summaries.
     """
+    unknown = [stage for stage in stages if stage not in STAGES]
+    if unknown:
+        raise ValueError(f"unknown stage {unknown[0]!r}; the stages are {', '.join(STAGES)}")
+    if not stages:
+        raise ValueError(f"no stage given; the stages are {', '.join(STAGES)}")
     dictionary = config.dictionary()
     spectrum_pairs = config.spectrum_train_pairs
     needed = {

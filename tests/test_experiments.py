@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -581,6 +582,24 @@ class TestExperimentDrivers:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.name.startswith("onestep")} == onestep
         assert (tmp_path / "nstep_raw_seed1.npy").exists()
 
+    @pytest.mark.parametrize(
+        "stages, message", [((), "no stage given"), (("foo",), "unknown stage 'foo'")]
+    )
+    def test_bad_stages_rejected_before_simulation(self, tiny_config, monkeypatch, stages, message):
+        def no_simulation(*args):
+            raise AssertionError("a simulation ran before the stages were checked")
+
+        monkeypatch.setattr(experiments, "simulate", no_simulation)
+        monkeypatch.setattr(experiments, "simulate_batch", no_simulation)
+        with pytest.raises(ValueError, match=message):
+            run_experiments(tiny_config, stages)
+
+    def test_repeated_stages_run_once_each(self, tiny_config):
+        twice = run_experiments(tiny_config, ("onestep", "onestep"))
+        once = run_experiments(tiny_config, ("onestep",))
+        assert twice.keys() == once.keys() == {"onestep"}
+        assert np.array_equal(twice["onestep"].mean, once["onestep"].mean)
+
     def test_shared_pass_matches_separate_stages(self, tiny_config, tmp_path):
         shared, separate = tmp_path / "shared", tmp_path / "separate"
         results = run_experiments(tiny_config, out_dir=shared)
@@ -667,14 +686,21 @@ class TestOnestepErrors:
                 assert np.array_equal(errors[i, j], expected)
 
     def test_test_tensor_is_never_evaluated_whole(self, tiny_config, monkeypatch):
-        bound = 2 * tiny_config.test_length
+        # one trajectory per block; each block's Psi must be gone before the
+        # next block is evaluated, so one block's Psi is alive at a time
+        bound = tiny_config.test_length
         monkeypatch.setattr(experiments, "_SCORE_BLOCK_STATES", bound)
         evaluate = experiments.Dictionary.evaluate
         test_calls = []
+        blocks = []
 
         def recorded(dictionary, x):
             if x.ndim == 3:  # the training states are one 2-D trajectory
+                assert all(block() is None for block in blocks), "an earlier block's Psi is alive"
                 test_calls.append(x.shape[0] * x.shape[1])
+                psi = evaluate(dictionary, x)
+                blocks.append(weakref.ref(psi))
+                return psi
             return evaluate(dictionary, x)
 
         monkeypatch.setattr(experiments.Dictionary, "evaluate", recorded)
