@@ -1,9 +1,14 @@
 """Command-line interface for deriving, training, and benchmarking."""
 
 import argparse
+import contextlib
+import ctypes
 import dataclasses
 import os
 import sys
+from pathlib import Path
+
+import numpy as np
 
 from .dynamics import DT_TOLERANCE, load_trajectory_csv, save_trajectory_csv
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
@@ -222,9 +227,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _openblas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, or
+    None where numpy's BLAS does not export them."""
+    numpy_dir = Path(np.__file__).parent
+    libs = [*(numpy_dir.parent / "numpy.libs").glob("*openblas*"), *(numpy_dir / ".dylibs").glob("*openblas*")]
+    for lib in libs:
+        try:
+            # the library numpy already loaded; dlopen hands back that handle
+            blas = ctypes.CDLL(str(lib))
+            get, put = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    # batch EDMD's bits depend on the BLAS thread count, so a command's
+    # outputs would too; the caller's count is restored afterwards, and a
+    # caller already on one thread sees no call into the BLAS
+    threads = _openblas_threads()
+    if threads is None or threads[0]() == 1:
+        yield
+        return
+    get, put = threads
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def main(argv=None) -> int:
+    """Run one command with the BLAS on one thread, so that its outputs do
+    not depend on the thread count."""
     args = build_parser().parse_args(argv)
-    args.func(args)
+    with _one_blas_thread():
+        args.func(args)
     return 0
 
 

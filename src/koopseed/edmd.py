@@ -9,6 +9,7 @@ through the Woodbury identity; a one-row block is the rank-one update.
 ODE-derived matrix biases the regression toward the seed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +75,8 @@ class OnlineState:
 
     ``pinv``, the positive-definite inverse-Gram surrogate in the gain, is
     re-symmetrized after each block of two or more rows and kept exactly
-    symmetric by the one-row step; ``count`` is the pairs absorbed so far.
+    symmetric by the one-row step, which subtracts q q^T with q =
+    sqrt(gamma) pinv x; ``count`` is the pairs absorbed so far.
     """
 
     matrix: np.ndarray
@@ -118,9 +120,15 @@ def _absorb(state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray) -> OnlineS
 
     with pinv re-symmetrized after each block of two or more rows. At b = 1
     the gain gamma = 1 / (1 + x^T pinv x) is a scalar in (0, 1] while pinv
-    is positive definite, and gamma Px Px^T is exactly symmetric, so this
-    rank-one step keeps the exactly symmetric pinv that ``online_init`` and
-    every block hand it exactly symmetric. The input state is not written.
+    is positive definite, and with Px = pinv x and q = sqrt(gamma) Px the
+    rank-one step is
+
+        K    <- K + (gamma (y - K x)) Px^T
+        pinv <- pinv - q q^T
+
+    Since q_i q_j == q_j q_i, it keeps the exactly symmetric pinv that
+    ``online_init`` and every block hand it exactly symmetric. The input
+    state is not written.
     """
     K, P = state.matrix, state.pinv
     m = psi_x.shape[0]
@@ -129,16 +137,17 @@ def _absorb(state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray) -> OnlineS
         K, P = K.copy(), P.copy()
     for start in range(0, m, _BLOCK_PAIRS):
         if m - start == 1:
-            # a one-row block; its solve would cost a third more than this step
+            # a one-row block; its solve would cost a third more than this
+            # step. Each matrix takes two element passes, the outer product
+            # (an einsum of plain products, no BLAS call) and the sum.
             x = psi_x[start]
             Px = P @ x
             gamma = 1.0 / (1.0 + x @ Px)
-            dK = np.outer(psi_y[start] - K @ x, Px)
-            dK *= gamma
+            dK = np.einsum("i,j->ij", gamma * (psi_y[start] - K @ x), Px)
             dK += K
-            dP = np.outer(Px, Px)
-            dP *= -gamma
-            dP += P
+            q = math.sqrt(gamma) * Px
+            dP = np.einsum("i,j->ij", q, q)
+            np.subtract(P, dP, out=dP)
             K, P = dK, dP
         else:
             X = psi_x[start : start + _BLOCK_PAIRS]
@@ -157,7 +166,7 @@ def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary
     Both states are evaluated in one dictionary call and absorbed as a
     one-row block, bit for bit what ``online_update_many`` gives for the row.
     """
-    psi = dictionary.evaluate(np.stack((pair.x, pair.y)))
+    psi = dictionary.evaluate(np.array((pair.x, pair.y)))
     return _absorb(state, psi[:1], psi[1:])
 
 

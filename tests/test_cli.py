@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from koopseed import dynamics, experiments
+from koopseed import cli, dynamics, experiments
 from koopseed.cli import main
 from koopseed.model import load_matrix_csv
 
@@ -100,6 +104,41 @@ def test_train_batch_and_online(tiny_path, tmp_path):
     assert online.matrix.shape == (15, 15)
     assert online.diagnostics["sigma"] == 1.0
     assert not np.array_equal(batch.matrix, online.matrix)
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # 142 pairs is the fewest at which two threads changed the bytes before
+    # the CLI pinned the BLAS (84 monomials, 2 cores)
+    main(["simulate", "--config", "duffing", "--out", str(tmp_path)])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        argv = ["train-batch", "--config", "duffing", "--traj", str(tmp_path / "train_seed0.csv")]
+        argv += ["--pairs", "142", "--out", str(out)]
+        subprocess.run([sys.executable, "-m", "koopseed.cli", *argv], env=env, check=True, capture_output=True)
+        written.append((out / "koopman_edmd_m142.csv").read_bytes())
+    assert written[0] == written[1]
+
+
+def test_main_restores_the_callers_blas_thread_count(tiny_path, tmp_path, monkeypatch):
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS does not export scipy_openblas_set_num_threads64_")
+    get, put = threads
+    seen = []
+    derive = cli._cmd_derive
+    monkeypatch.setattr(cli, "_cmd_derive", lambda args: (seen.append(get()), derive(args)))
+    before = get()
+    put(2)
+    try:
+        caller = get()  # two, or fewer on a one-core machine
+        main(["derive", "--config", tiny_path, "--out", str(tmp_path)])
+        assert seen == [1]
+        assert get() == caller
+    finally:
+        put(before)
 
 
 @pytest.mark.parametrize("command", ["train-online", "train-batch"])

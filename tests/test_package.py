@@ -4,7 +4,6 @@ with the API; the suite runs its BLAS on the thread count that
 tests/conftest.py pins."""
 
 import argparse
-import ctypes
 import dataclasses
 import importlib.util
 import json
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 
 import koopseed
-from koopseed import experiments
+from koopseed import cli, experiments
 from koopseed.cli import build_parser, main
 from koopseed.experiments import ExperimentConfig
 
@@ -147,16 +146,7 @@ def test_derive_runs_without_scipy(tmp_path):
 def test_suite_runs_the_blas_on_one_thread():
     if os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1":
         pytest.skip("the caller chose another BLAS thread count")
-    # numpy's bundled OpenBLAS, already loaded; dlopen hands back that handle
-    numpy_dir = Path(np.__file__).parent
-    libs = [*(numpy_dir.parent / "numpy.libs").glob("*openblas*"), *(numpy_dir / ".dylibs").glob("*openblas*")]
-    for lib in libs:
-        try:
-            get_threads = ctypes.CDLL(str(lib)).scipy_openblas_get_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get_threads.argtypes = []
-        get_threads.restype = ctypes.c_int
-        assert get_threads() == 1
-        return
-    pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+    threads = cli._openblas_threads()
+    if threads is None:
+        pytest.skip("numpy's BLAS does not export scipy_openblas_get_num_threads64_")
+    assert threads[0]() == 1
