@@ -1,15 +1,15 @@
 """Koopman operators for coupled systems: ODE-derived seeds, online refinement.
 
 Pipeline: derive a Koopman matrix for each subsystem from its governing
-polynomial ODE (generator module), embed them into the full-system
-dictionary (assembly), refine the result from trajectory data with online
-EDMD (edmd), and predict through the eigen-decomposition (spectral). The
-dynamics module simulates the coupled benchmark systems, and the CLI runs
-the bundled experiments end to end.
+polynomial ODE (generator module), embed them in subsystem order into the
+full-system dictionary (assembly), refine the result from trajectory data
+with online EDMD (edmd), and predict through the eigen-decomposition
+(spectral). The dynamics module simulates the coupled benchmark systems,
+and the CLI runs the bundled experiments end to end.
 """
 
 from .assembly import assemble_global
-from .dictionary import Dictionary, VariableLayout, build_dictionary, embed_indices
+from .dictionary import Dictionary, VariableLayout, build_dictionary
 from .dynamics import (
     BlowUpError,
     CoupledSystem,
@@ -67,7 +67,6 @@ __all__ = [
     "decompose",
     "derive_seed",
     "derive_seed_model",
-    "embed_indices",
     "forecast_matrices",
     "load_config",
     "load_matrix_csv",

@@ -284,44 +284,3 @@ class VariableLayout:
     @property
     def total_vars(self) -> int:
         return sum(self.subsystem_dims)
-
-    @property
-    def subsystem_count(self) -> int:
-        return len(self.subsystem_dims)
-
-
-def embed_indices(
-    local: Dictionary,
-    layout: VariableLayout,
-    subsystem: int,
-    global_dict: Dictionary,
-) -> np.ndarray:
-    """Map local dictionary indices into the global dictionary.
-
-    Each local multi-index is zero-padded into the subsystem's variable slots
-    and located in the global basis. Returns an int array ``g`` with
-    ``g[local_index] = global_index``; the map is injective and sends the
-    local constant to the global constant (index 0).
-    """
-    if not 0 <= subsystem < layout.subsystem_count:
-        raise ValueError(f"subsystem index {subsystem} out of range")
-    if local.var_count != layout.subsystem_dims[subsystem]:
-        raise ValueError(
-            f"local dictionary has {local.var_count} variables, "
-            f"subsystem {subsystem} has {layout.subsystem_dims[subsystem]}"
-        )
-    if global_dict.var_count != layout.total_vars:
-        raise ValueError("global dictionary does not cover the full layout")
-    if local.max_degree > global_dict.max_degree:
-        raise ValueError("local max_degree exceeds the global max_degree")
-
-    offset = layout.offsets[subsystem]
-    mapping = np.empty(len(local), dtype=np.int64)
-    for li, m in enumerate(local.entries):
-        padded = [0] * layout.total_vars
-        padded[offset : offset + local.var_count] = m
-        padded = tuple(padded)
-        if padded not in global_dict:
-            raise ValueError(f"padded multi-index {padded} absent from global dictionary")
-        mapping[li] = global_dict.index_of(padded)
-    return mapping

@@ -204,6 +204,8 @@ def load_trajectory_csv(path) -> tuple:
         raise ValueError(f"{path}: trajectory contains non-finite values")
     steps = np.diff(data[:, 0])
     dt = float(steps[0])
+    if not dt > 0:
+        raise ValueError(f"{path}: time step {dt} is not positive")
     if not np.allclose(steps, dt, rtol=DT_TOLERANCE, atol=DT_TOLERANCE):
         raise ValueError(f"{path}: time column is not uniformly spaced")
     return data[:, 1:], dt

@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ValueError("perturb_radius must be positive and finite")
         if self.seeds < 1:
             raise ValueError("seeds must be >= 1")
+        if self.root_seed < 0:
+            raise ValueError("root_seed must be >= 0")
         if len(self.init_ranges) != self.system.dim:
             raise ValueError("one init range per state variable is required")
         for i, (lo, hi) in enumerate(self.init_ranges):
@@ -250,7 +252,7 @@ def derive_seed_model(config: ExperimentConfig) -> KoopmanModel:
     for fld in config.system.subsystems:
         local_dict = build_dictionary(fld.var_count, config.degree)
         locals_.append(local_koopman(fld, local_dict, config.dt))
-    return assemble_global(locals_, config.system.layout, global_dict)
+    return assemble_global(locals_, global_dict)
 
 
 def derive_seed(config: ExperimentConfig, out_path) -> KoopmanModel:

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopseed.assembly import assemble_global
-from koopseed.dictionary import VariableLayout, build_dictionary
+from koopseed.dictionary import build_dictionary
 from koopseed.dynamics import rk4_step, sample_initial
 from koopseed.edmd import SnapshotPair, batch_edmd_from_psi, online_init, online_update
 from koopseed.experiments import load_config, run_experiments

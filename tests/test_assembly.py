@@ -1,9 +1,14 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from monomial_cases import assert_same_bits
 from scipy.linalg import expm
 
 from koopseed.assembly import assemble_global
-from koopseed.dictionary import VariableLayout, build_dictionary, embed_indices
+from koopseed.dictionary import build_dictionary
 from koopseed.generator import PolynomialVectorField, local_koopman
 from koopseed.model import KoopmanModel
 
@@ -21,85 +26,99 @@ def local_model(field, degree):
     return local_koopman(field, d, DT)
 
 
-def mixes_subsystems(multi_index, layout):
-    touched = 0
-    for s in range(layout.subsystem_count):
-        if any(multi_index[v] for v in range(layout.offsets[s], layout.offsets[s + 1])):
-            touched += 1
+def block_indices(local, offset, glob):
+    """Global indices of a local dictionary's monomials, each zero-padded
+    into the variable slots that start at ``offset``."""
+    pad = glob.var_count - offset - local.var_count
+    return [glob.index_of((0,) * offset + m + (0,) * pad) for m in local.entries]
+
+
+def mixes_subsystems(multi_index, offsets):
+    touched = sum(any(multi_index[a:b]) for a, b in zip(offsets, offsets[1:]))
     return touched >= 2
 
 
 def test_single_subsystem_is_pure_reindexing():
-    layout = VariableLayout((2,))
     glob = build_dictionary(2, 3)
     local = local_model(harmonic(1.3), 3)
-    seed = assemble_global([local], layout, glob)
+    seed = assemble_global([local], glob)
     # with one subsystem the embedding is the identity permutation
     assert np.array_equal(seed.matrix, local.matrix)
 
 
-def test_block_consistency_bit_for_bit():
-    layout = VariableLayout((2, 2))
-    glob = build_dictionary(4, 3)
-    locals_ = [local_model(harmonic(1.0), 3), local_model(harmonic(0.7), 3)]
-    seed = assemble_global(locals_, layout, glob)
-    for s, lm in enumerate(locals_):
-        mapping = embed_indices(lm.dictionary, layout, s, glob)
-        block = seed.matrix[np.ix_(mapping, mapping)]
-        assert np.array_equal(block, lm.matrix)
+@given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 3), min_size=1, max_size=3), st.integers(1, 3))
+def test_block_consistency_bit_for_bit(seed, dims, degree):
+    # random local matrices with K[0, 0] = 1: each extracted block is its
+    # local matrix bit for bit, two blocks share only the constant slot and
+    # every other entry, interaction rows and columns included, is zero
+    rng = np.random.default_rng(seed)
+    locals_ = []
+    for dim in dims:
+        local = build_dictionary(dim, degree)
+        matrix = rng.standard_normal((len(local), len(local)))
+        matrix[0, 0] = 1.0
+        locals_.append(KoopmanModel(local, matrix))
+    glob = build_dictionary(sum(dims), degree)
+    assembled = assemble_global(locals_, glob).matrix
+    offsets = np.cumsum([0] + dims).tolist()
+    blocks = [block_indices(lm.dictionary, off, glob) for lm, off in zip(locals_, offsets)]
+    covered = np.zeros(assembled.shape, dtype=bool)
+    for lm, idx in zip(locals_, blocks):
+        assert_same_bits(assembled[np.ix_(idx, idx)], lm.matrix)
+        covered[np.ix_(idx, idx)] = True
+    assert not assembled[~covered].any()
+    for k, m in enumerate(glob.entries):
+        if mixes_subsystems(m, offsets):
+            assert not assembled[k, :].any()
+            assert not assembled[:, k].any()
+    for a, b in combinations(blocks, 2):
+        assert set(a) & set(b) == {0}
 
 
 def test_interaction_rows_and_columns_are_zero():
-    layout = VariableLayout((2, 2))
     glob = build_dictionary(4, 3)
     locals_ = [local_model(harmonic(1.0), 3), local_model(harmonic(0.7), 3)]
-    seed = assemble_global(locals_, layout, glob)
+    seed = assemble_global(locals_, glob)
     for k, m in enumerate(glob.entries):
-        if mixes_subsystems(m, layout):
+        if mixes_subsystems(m, (0, 2, 4)):
             assert not seed.matrix[k, :].any()
             assert not seed.matrix[:, k].any()
 
 
 def test_structural_slot_count():
     # two 10-index embeddings share exactly the constant slot: the union of
-    # writable positions has 2 * 10^2 - 1 entries
-    layout = VariableLayout((2, 2))
+    # written positions has 2 * 10^2 - 1 entries
     glob = build_dictionary(4, 3)
     local = build_dictionary(2, 3)
-    slots = set()
-    for s in range(2):
-        mapping = embed_indices(local, layout, s, glob)
-        for a in mapping:
-            for b in mapping:
-                slots.add((int(a), int(b)))
-    assert len(slots) == 2 * 10 * 10 - 1
+    full = KoopmanModel(local, np.ones((10, 10)))
+    seed = assemble_global([full, full], glob)
+    assert np.count_nonzero(seed.matrix) == 2 * 10 * 10 - 1
 
 
 def test_rejects_bad_constant_entry():
-    layout = VariableLayout((2,))
     glob = build_dictionary(2, 2)
     local_dict = build_dictionary(2, 2)
     for k00 in (0.5, 0.0):
         bad = np.zeros((6, 6))
         bad[0, 0] = k00
         with pytest.raises(ValueError, match="expected 1"):
-            assemble_global([KoopmanModel(local_dict, bad)], layout, glob)
+            assemble_global([KoopmanModel(local_dict, bad)], glob)
 
 
 def test_rejects_dimension_mismatches():
-    layout = VariableLayout((2, 2))
     glob = build_dictionary(4, 2)
     lm = local_model(harmonic(1.0), 2)
-    with pytest.raises(ValueError):
-        assemble_global([lm], layout, glob)  # missing a subsystem
-    with pytest.raises(ValueError):
-        assemble_global([lm, local_model(harmonic(1.0), 3)], layout, glob)  # degree
+    with pytest.raises(ValueError, match="^local models cover 2 variables, global dictionary has 4$"):
+        assemble_global([lm], glob)  # missing a subsystem
+    with pytest.raises(ValueError, match="^local models cover 6 variables, global dictionary has 4$"):
+        assemble_global([lm, lm, lm], glob)  # one subsystem too many
+    with pytest.raises(ValueError, match="^subsystem 1: local max_degree 3 != global 2$"):
+        assemble_global([lm, local_model(harmonic(1.0), 3)], glob)
 
 
 def test_returns_global_seed_type():
-    layout = VariableLayout((2,))
     glob = build_dictionary(2, 2)
-    seed = assemble_global([local_model(harmonic(1.0), 2)], layout, glob)
+    seed = assemble_global([local_model(harmonic(1.0), 2)], glob)
     assert type(seed) is KoopmanModel
 
 
@@ -109,7 +128,6 @@ class TestUncoupledExactness:
     def setup_method(self):
         rng = np.random.default_rng(5)
         self.A = [rng.uniform(-1, 1, (2, 2)) for _ in range(2)]
-        self.layout = VariableLayout((2, 2))
         fields = [
             PolynomialVectorField(
                 2,
@@ -122,7 +140,7 @@ class TestUncoupledExactness:
         ]
         self.locals = [local_model(f, 1) for f in fields]
         self.glob = build_dictionary(4, 1)
-        self.seed = assemble_global(self.locals, self.layout, self.glob)
+        self.seed = assemble_global(self.locals, self.glob)
 
     def test_one_step_matches_exact_flow(self):
         rng = np.random.default_rng(6)
@@ -137,7 +155,7 @@ class TestUncoupledExactness:
         rng = np.random.default_rng(7)
         x = rng.uniform(-1, 1, 4)
         for s, lm in enumerate(self.locals):
-            mapping = embed_indices(lm.dictionary, self.layout, s, self.glob)
+            mapping = block_indices(lm.dictionary, 2 * s, self.glob)
             block = self.seed.matrix[np.ix_(mapping, mapping)]
             local_psi = lm.dictionary.evaluate(x[2 * s : 2 * s + 2])
             assert np.array_equal(block @ local_psi, lm.matrix @ local_psi)
@@ -151,6 +169,6 @@ class TestUncoupledExactness:
             x = rng.uniform(-1, 1, 4)
             psi_next = self.seed.matrix @ self.glob.evaluate(x)
             for s, lm in enumerate(self.locals):
-                mapping = embed_indices(lm.dictionary, self.layout, s, self.glob)
+                mapping = block_indices(lm.dictionary, 2 * s, self.glob)
                 local_next = lm.matrix @ lm.dictionary.evaluate(x[2 * s : 2 * s + 2])
                 assert np.allclose(psi_next[mapping], local_next, rtol=5e-16, atol=5e-16)

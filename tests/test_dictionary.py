@@ -4,14 +4,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 from monomial_cases import assert_same_bits, exponent_lists, power_loop, state_batches
 
+from koopseed.assembly import assemble_global
 from koopseed.dictionary import (
     _CHUNK_ROWS,
     Dictionary,
     MonomialTable,
     VariableLayout,
     build_dictionary,
-    embed_indices,
 )
+from koopseed.model import KoopmanModel
 
 
 def test_sizes_match_binomial_counts():
@@ -176,12 +177,28 @@ def test_sizes_must_be_integers_not_truncated():
         Dictionary(2, True)
 
 
+def embedded_indices(local, dims, subsystem, glob):
+    """Global index of each of ``local``'s monomials for one subsystem, read
+    back from ``assemble_global``: that subsystem's local matrix is
+    diag(1, 2, ..., n) and every other one carries only its constant 1."""
+    n = len(local)
+    marked = np.diag(np.arange(1.0, n + 1))
+    constant_only = np.zeros((n, n))
+    constant_only[0, 0] = 1.0
+    models = [KoopmanModel(local, marked if s == subsystem else constant_only) for s in range(len(dims))]
+    diagonal = np.diag(assemble_global(models, glob).matrix)
+    mapping = []
+    for k in range(n):
+        (where,) = np.flatnonzero(diagonal == k + 1)  # exactly one slot per monomial
+        mapping.append(int(where))
+    return mapping
+
+
 def test_embed_zero_pads_into_subsystem_slots():
-    layout = VariableLayout((2, 2))
     glob = build_dictionary(4, 3)
     local = build_dictionary(2, 3)
-    m0 = embed_indices(local, layout, 0, glob)
-    m1 = embed_indices(local, layout, 1, glob)
+    m0 = embedded_indices(local, (2, 2), 0, glob)
+    m1 = embedded_indices(local, (2, 2), 1, glob)
     assert m0[local.index_of((2, 0))] == glob.index_of((2, 0, 0, 0))
     assert m1[local.index_of((2, 0))] == glob.index_of((0, 0, 2, 0))
     # constants collapse onto the global constant
@@ -190,31 +207,18 @@ def test_embed_zero_pads_into_subsystem_slots():
 
 def test_embed_images_overlap_only_at_constant():
     # derived by enumerating both embeddings and intersecting
-    layout = VariableLayout((2, 2))
     glob = build_dictionary(4, 3)
     local = build_dictionary(2, 3)
     assert len(glob) == 35
-    img0 = set(embed_indices(local, layout, 0, glob).tolist())
-    img1 = set(embed_indices(local, layout, 1, glob).tolist())
+    img0 = set(embedded_indices(local, (2, 2), 0, glob))
+    img1 = set(embedded_indices(local, (2, 2), 1, glob))
     assert len(img0) == 10 and len(img1) == 10
     assert img0 & img1 == {0}
 
 
 def test_embed_is_injective():
-    layout = VariableLayout((2, 2, 2))
     glob = build_dictionary(6, 3)
     local = build_dictionary(2, 3)
     for s in range(3):
-        mapping = embed_indices(local, layout, s, glob)
-        assert len(set(mapping.tolist())) == len(mapping)
-
-
-def test_embed_rejects_mismatches():
-    layout = VariableLayout((2, 2))
-    glob = build_dictionary(4, 2)
-    with pytest.raises(ValueError):
-        embed_indices(build_dictionary(3, 2), layout, 0, glob)
-    with pytest.raises(ValueError):
-        embed_indices(build_dictionary(2, 3), layout, 0, glob)  # degree too high
-    with pytest.raises(ValueError):
-        embed_indices(build_dictionary(2, 2), layout, 5, glob)
+        mapping = embedded_indices(local, (2, 2, 2), s, glob)
+        assert len(set(mapping)) == len(mapping)

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -309,6 +310,13 @@ class TestTrajectoryCSV:
         path = tmp_path / "bad.csv"
         path.write_text("t,x_1_1\n0,1\n0.01,2\n0.5,3\n")
         with pytest.raises(ValueError):
+            load_trajectory_csv(path)
+
+    @pytest.mark.parametrize("times", [(0, 0, 0), (0.02, 0.01, 0)], ids=["constant", "reversed"])
+    def test_time_must_increase(self, tmp_path, times):
+        path = tmp_path / "still.csv"
+        path.write_text("t,x_1_1\n" + "".join(f"{t},{k}\n" for k, t in enumerate(times)))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: time step .* is not positive$"):
             load_trajectory_csv(path)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")  # loadtxt: input contained no data
