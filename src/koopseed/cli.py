@@ -90,6 +90,11 @@ def _train_pairs_from_csv(config, path, pairs):
     states, dt = load_trajectory_csv(path)
     if abs(dt - config.dt) > DT_TOLERANCE * (1.0 + abs(config.dt)):
         raise SystemExit(f"{path} is sampled at dt {dt:g}, the config at dt {config.dt:g}")
+    if states.shape[1] != config.system.dim:
+        raise SystemExit(
+            f"{path} has {states.shape[1]} state columns, the config's system has dimension "
+            f"{config.system.dim}"
+        )
     dictionary = config.dictionary()
     psi = dictionary.evaluate(states)
     available = psi.shape[0] - 1

@@ -3,8 +3,11 @@
 Batch EDMD solves the least-squares problem through the pseudoinverse of the
 dictionary Gram matrix. The online path keeps the current estimate and the
 inverse-Gram surrogate and absorbs pairs through one recursion, in blocks
-through the Woodbury identity; a one-row block is the rank-one update.
-``online_update_many`` feeds it arrays of evaluated pairs and
+through the Woodbury identity; a one-row block is the rank-one update, kept
+as a pending term. The step that would leave ``_BLOCK_PAIRS`` terms pending
+folds them into both matrices, and a read folds them for itself; a state
+with one pending term reads with the bits of the update written out.
+``online_update_many`` feeds the recursion arrays of evaluated pairs and
 ``online_update`` one SnapshotPair, evaluated in one call. Seeding with an
 ODE-derived matrix biases the regression toward the seed.
 """
@@ -20,6 +23,7 @@ from .model import KoopmanModel
 # Pairs absorbed per block of the online recursion. It divides every
 # checkpoint the presets and tests split training at, so a split run gives
 # the same bits as one call, and no split there leaves a one-row block.
+# It is also the count of pending one-row terms at which they are folded.
 _BLOCK_PAIRS = 10
 
 
@@ -69,19 +73,58 @@ def batch_edmd_from_psi(
     )
 
 
-@dataclass
 class OnlineState:
     """Running state of the online recursion.
 
-    ``pinv``, the positive-definite inverse-Gram surrogate in the gain, is
-    re-symmetrized after each block of two or more rows and kept exactly
-    symmetric by the one-row step, which subtracts q q^T with q =
-    sqrt(gamma) pinv x; ``count`` is the pairs absorbed so far.
+    A state is its folded matrices K0 and P0 plus the pending terms of at
+    most ``_BLOCK_PAIRS - 1`` one-row steps (see ``_step``), rows u_i of U
+    and w_i of W and the gains gamma_i:
+
+        matrix = K0 + U^T W
+        pinv   = P0 - Q^T Q,    Q = sqrt(gamma) W (row by row)
+
+    ``matrix`` and ``pinv`` fold the pending terms on first read, one
+    product each, and cache the result; the state's next steps still start
+    from K0, P0 and the terms, so a read changes no later bits. numpy forms
+    Q^T Q symmetrically (syrk), so ``pinv`` is exactly symmetric at every
+    read. With one pending term each product entry is a single rounded
+    product, so the read has the bits of the update written out: u Px^T
+    added to K0, and q q^T, q = sqrt(gamma) Px, taken from P0.
+    ``OnlineState(matrix, pinv, count)`` builds a state with nothing
+    pending; ``count`` is the pairs absorbed so far. The states of a chain
+    share their arrays, so none of them may be written.
     """
 
-    matrix: np.ndarray
-    pinv: np.ndarray
-    count: int = 0
+    def __init__(self, matrix: np.ndarray, pinv: np.ndarray, count: int = 0):
+        self._base = self._read = (matrix, pinv)
+        self._terms = None  # rows (-u, gamma w, w, sqrt(gamma)) of the pending steps
+        self.count = count
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self._folded()[0]
+
+    @property
+    def pinv(self) -> np.ndarray:
+        return self._folded()[1]
+
+    def _folded(self):
+        if self._read is None:
+            self._read = _fold(self._base, self._terms)
+        return self._read
+
+
+def _fold(base, terms):
+    """K0 + U^T W and P0 - Q^T Q from the pending rows ``terms``."""
+    K0, P0 = base
+    n = K0.shape[0]
+    W = terms[:, 2 * n : 3 * n]
+    K = terms[:, :n].T @ W
+    np.subtract(K0, K, out=K)
+    Q = W * terms[:, 3 * n :]
+    P = Q.T @ Q
+    np.subtract(P0, P, out=P)
+    return K, P
 
 
 def online_init(seed, sigma: float, dictionary: Dictionary | None = None) -> OnlineState:
@@ -111,53 +154,70 @@ def _absorb(state: OnlineState, psi_x: np.ndarray, psi_y: np.ndarray) -> OnlineS
     """The one online recursion: absorb the rows of psi_x, psi_y in order.
 
     Rows are taken in consecutive blocks of ``_BLOCK_PAIRS``, counted from
-    the start of the call (the last block may be shorter). For a block X, Y
-    of b rows, with PX = pinv X^T and S = I_b + X PX symmetric positive
-    definite, the Woodbury identity gives G = S^-1 PX^T and
+    the start of the call (the last block may be shorter). A one-row block
+    is the rank-one step of ``_step``, kept pending. Blocks X, Y of b >= 2
+    rows start from the state's folded matrices; with PX = pinv X^T and
+    S = I_b + X PX symmetric positive definite, the Woodbury identity gives
+    G = S^-1 PX^T and
 
         K    <- K + (Y^T - K X^T) G
         pinv <- pinv - PX G
 
-    with pinv re-symmetrized after each block of two or more rows. At b = 1
-    the gain gamma = 1 / (1 + x^T pinv x) is a scalar in (0, 1] while pinv
-    is positive definite, and with Px = pinv x and q = sqrt(gamma) Px the
-    rank-one step is
-
-        K    <- K + (gamma (y - K x)) Px^T
-        pinv <- pinv - q q^T
-
-    Since q_i q_j == q_j q_i, it keeps the exactly symmetric pinv that
-    ``online_init`` and every block hand it exactly symmetric. The input
-    state is not written.
+    with pinv re-symmetrized after the block. A call of two or more rows
+    thus leaves at most one pending term. The input state is not written.
     """
-    K, P = state.matrix, state.pinv
     m = psi_x.shape[0]
-    if m != 1:
-        # the Woodbury blocks update in place; a one-row call builds new arrays
-        K, P = K.copy(), P.copy()
-    for start in range(0, m, _BLOCK_PAIRS):
-        if m - start == 1:
-            # a one-row block; its solve would cost a third more than this
-            # step. Each matrix takes two element passes, the outer product
-            # (an einsum of plain products, no BLAS call) and the sum.
-            x = psi_x[start]
-            Px = P @ x
-            gamma = 1.0 / (1.0 + x @ Px)
-            dK = np.einsum("i,j->ij", gamma * (psi_y[start] - K @ x), Px)
-            dK += K
-            q = math.sqrt(gamma) * Px
-            dP = np.einsum("i,j->ij", q, q)
-            np.subtract(P, dP, out=dP)
-            K, P = dK, dP
-        else:
-            X = psi_x[start : start + _BLOCK_PAIRS]
-            Y = psi_y[start : start + _BLOCK_PAIRS]
-            PX = P @ X.T
-            G = np.linalg.solve(np.eye(X.shape[0]) + X @ PX, PX.T)
-            K += (Y.T - K @ X.T) @ G
-            P -= PX @ G
-            np.copyto(P, 0.5 * (P + P.T))
-    return OnlineState(matrix=K, pinv=P, count=state.count + m)
+    if m == 1:
+        return _step(state, psi_x[0], psi_y[0])
+    K, P = state.matrix.copy(), state.pinv.copy()
+    blocks = m - 1 if m % _BLOCK_PAIRS == 1 else m  # rows in Woodbury blocks
+    for start in range(0, blocks, _BLOCK_PAIRS):
+        X = psi_x[start : start + _BLOCK_PAIRS]
+        Y = psi_y[start : start + _BLOCK_PAIRS]
+        PX = P @ X.T
+        G = np.linalg.solve(np.eye(X.shape[0]) + X @ PX, PX.T)
+        K += (Y.T - K @ X.T) @ G
+        P -= PX @ G
+        np.copyto(P, 0.5 * (P + P.T))
+    state = OnlineState(K, P, state.count + blocks)
+    return _step(state, psi_x[-1], psi_y[-1]) if blocks < m else state
+
+
+def _step(state: OnlineState, x: np.ndarray, y: np.ndarray) -> OnlineState:
+    """The rank-one step for one row, kept as a pending term.
+
+    With Px = pinv x, the gain gamma = 1 / (1 + x^T Px) in (0, 1] and
+    u = gamma (y - K x), the step is K <- K + u Px^T and
+    pinv <- pinv - gamma Px Px^T. It writes neither matrix: it forms
+
+        K x = K0 x + U^T (W x),    Px = P0 x - W^T (gamma * (W x))
+
+    with one product of W x and the rows' (-u_i, gamma_i w_i), and appends
+    the row (-u, gamma Px, Px, sqrt(gamma)) to a copy of the pending rows.
+    The step that would leave ``_BLOCK_PAIRS`` terms pending folds them
+    into K0 and P0 instead, as a read does.
+    """
+    K, P = state._base
+    pending = state._terms
+    n = x.shape[0]
+    t = 0 if pending is None else pending.shape[0]
+    terms = np.empty((t + 1, 3 * n + 1))
+    row = terms[t]
+    Kx = np.matmul(K, x, out=row[:n])
+    Px = np.matmul(P, x, out=row[n : 2 * n])
+    if t:
+        terms[:t] = pending
+        row[: 2 * n] -= (pending[:, 2 * n : 3 * n] @ x) @ pending[:, : 2 * n]
+    row[2 * n : 3 * n] = Px
+    gamma = 1.0 / (1.0 + x @ Px)
+    Kx -= y
+    row[: 2 * n] *= gamma
+    row[3 * n] = math.sqrt(gamma)
+    if t + 1 == _BLOCK_PAIRS:
+        return OnlineState(*_fold(state._base, terms), state.count + 1)
+    out = OnlineState(K, P, state.count + 1)
+    out._terms, out._read = terms, None
+    return out
 
 
 def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary) -> OnlineState:
@@ -167,7 +227,7 @@ def online_update(state: OnlineState, pair: SnapshotPair, dictionary: Dictionary
     one-row block, bit for bit what ``online_update_many`` gives for the row.
     """
     psi = dictionary.evaluate(np.array((pair.x, pair.y)))
-    return _absorb(state, psi[:1], psi[1:])
+    return _step(state, psi[0], psi[1])
 
 
 def online_update_many(
@@ -179,7 +239,7 @@ def online_update_many(
     across calls at multiples of ``_BLOCK_PAIRS`` gives the same bits as one
     call; other splits agree up to rounding.
     """
-    n = state.matrix.shape[0]
+    n = state._base[0].shape[0]  # the size, without folding pending terms
     psi_x = np.asarray(psi_x, dtype=float)
     psi_y = np.asarray(psi_y, dtype=float)
     if psi_x.ndim != 2 or psi_x.shape[1] != n or psi_y.shape != psi_x.shape:

@@ -153,6 +153,21 @@ def test_train_rejects_a_trajectory_at_another_dt(tiny_path, tmp_path, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train-online", "train-batch"])
+@pytest.mark.parametrize("columns", [0, 2])
+def test_train_rejects_a_trajectory_of_another_dimension(tiny_path, tmp_path, command, columns):
+    # a t-only file and a 2-column one, against the tiny config's 4 variables
+    traj = tmp_path / "narrow.csv"
+    states = np.column_stack([0.01 * np.arange(3)] + [np.full(3, 0.1)] * columns)
+    header = ",".join(["t"] + [f"x{i}" for i in range(columns)])
+    np.savetxt(traj, states, delimiter=",", header=header, comments="")
+    out = tmp_path / "out"
+    match = f"narrow.csv has {columns} state columns, the config's system has dimension 4"
+    with pytest.raises(SystemExit, match=match):
+        main([command, "--config", tiny_path, "--traj", str(traj), "--out", str(out)])
+    assert not out.exists()
+
+
 def test_eval_onestep_cli(tiny_path, tmp_path, capsys):
     out = tmp_path / "out"
     main(["eval-onestep", "--config", tiny_path, "--out", str(out), "--seeds", "1"])

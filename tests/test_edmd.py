@@ -323,6 +323,49 @@ def test_update_many_matches_ridge_oracle_over_any_split(data, log_sigma, count)
     assert state.count == count
 
 
+def held_arrays(state):
+    """Copies of every array a state holds, folded or pending."""
+    held = []
+    for value in vars(state).values():
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                held.append(item.copy())
+    return held
+
+
+@given(st.data(), st.integers(2 * _BLOCK_PAIRS + 1, 5 * _BLOCK_PAIRS), st.floats(-2.0, 3.0))
+def test_one_pair_chain_reads_agree_with_the_oracle_and_change_no_bits(data, count, log_sigma):
+    # one-pair calls keep their rank-one terms pending and fold them every
+    # _BLOCK_PAIRS pairs; reading matrix and pinv at random points folds the
+    # pending terms for the read alone
+    d = build_dictionary(2, 3)
+    n = len(d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    X = d.evaluate(rng.uniform(-1.5, 1.5, (count, 2)))
+    Y = d.evaluate(rng.uniform(-1.5, 1.5, (count, 2)))
+    seed = 0.1 * rng.standard_normal((n, n))
+    sigma = 10.0**log_sigma
+    reads = set(data.draw(st.lists(st.integers(1, count), max_size=8)))
+    read = unread = online_init(seed, sigma)
+    for k in range(count):
+        before = held_arrays(read)
+        new = online_update_many(read, X[k : k + 1], Y[k : k + 1])
+        after = held_arrays(read)
+        assert len(before) == len(after) and all(map(np.array_equal, before, after))
+        read = new
+        unread = online_update_many(unread, X[k : k + 1], Y[k : k + 1])
+        if k + 1 in reads:
+            Xk, Yk = X[: k + 1], Y[: k + 1]
+            oracle = (seed / sigma + Yk.T @ Xk) @ np.linalg.inv(Xk.T @ Xk + np.eye(n) / sigma)
+            rel = np.linalg.norm(read.matrix - oracle) / np.linalg.norm(oracle)
+            assert rel <= 1e-8, (sigma, k + 1, rel)
+            assert np.array_equal(read.pinv, read.pinv.T)
+    assert np.array_equal(read.matrix, unread.matrix)
+    assert np.array_equal(read.pinv, unread.pinv)
+    assert np.array_equal(unread.pinv, unread.pinv.T)
+    assert read.count == unread.count == count
+
+
 def absorb_as_first_written(state, psi_x, psi_y):
     """The recursion with copies, in-place updates and a re-symmetrization
     after every block, the one-row step included. Its outer products are

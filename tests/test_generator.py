@@ -292,22 +292,21 @@ class TestLocalKoopman:
         assert np.array_equal(K[:, 0], unit)
         assert np.array_equal(K[0, :], unit)
 
-    def test_linear_exactness_property(self):
+    @given(st.data(), st.integers(1, 4), st.floats(1e-3, 0.2))
+    def test_linear_exactness_property(self, data, D, dt):
         # Psi(x(t+dt)) = K Psi(x(t)) holds exactly for linear flows
-        rng = np.random.default_rng(42)
-        for _ in range(10):
-            D = rng.integers(1, 5)
-            A = rng.uniform(-1, 1, (D, D))
-            dt = 0.05
-            d = build_dictionary(D, 1)
-            K = local_koopman(linear_field(A), d, dt).matrix
-            flow = scipy.linalg.expm(A * dt)
-            rel = np.linalg.norm(K[1:, 1:] - flow) / np.linalg.norm(flow)
-            assert rel <= 1e-10
-            for _ in range(5):
-                x = rng.uniform(-2, 2, D)
-                psi_next = d.evaluate(flow @ x)
-                assert np.allclose(K @ d.evaluate(x), psi_next, atol=1e-12)
+        def floats(bound, size):
+            return np.array(data.draw(st.lists(st.floats(-bound, bound), min_size=size, max_size=size)))
+
+        A = floats(1.0, D * D).reshape(D, D)
+        d = build_dictionary(D, 1)
+        K = local_koopman(linear_field(A), d, dt).matrix
+        flow = scipy.linalg.expm(A * dt)
+        rel = np.linalg.norm(K[1:, 1:] - flow) / np.linalg.norm(flow)
+        assert rel <= 1e-10
+        for x in floats(2.0, 5 * D).reshape(5, D):
+            psi_next = d.evaluate(flow @ x)
+            assert np.allclose(K @ d.evaluate(x), psi_next, atol=1e-12)
 
     def test_linear_degree_one_block_inside_bigger_dictionary(self):
         # linear dynamics keep each degree block closed, so the degree-1
