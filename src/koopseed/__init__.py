@@ -1,15 +1,16 @@
 """Koopman operators for coupled systems: ODE-derived seeds, online refinement.
 
-Pipeline: derive a Koopman matrix for each subsystem from its governing
-polynomial ODE (generator module), embed them in subsystem order into the
-full-system dictionary (assembly), refine the result from trajectory data
-with online EDMD (edmd), and predict through the eigen-decomposition
-(spectral). The dynamics module simulates the coupled benchmark systems,
-and the CLI runs the bundled experiments end to end.
+Pipeline: derive the seed Koopman matrix from the subsystems' governing
+polynomial ODEs, as the uncoupled field's generator (generator module)
+advanced on the full-system dictionary with the interaction rows zeroed
+(assembly), refine the seed from trajectory data with online EDMD (edmd),
+and predict through the eigen-decomposition (spectral). The dynamics
+module simulates the coupled benchmark systems, and the CLI runs the
+bundled experiments end to end.
 """
 
 from .assembly import assemble_global
-from .dictionary import Dictionary, VariableLayout, build_dictionary
+from .dictionary import Dictionary, build_dictionary
 from .dynamics import (
     BlowUpError,
     CoupledSystem,
@@ -59,7 +60,6 @@ __all__ = [
     "PolynomialVectorField",
     "SnapshotPair",
     "SpectralDecomposition",
-    "VariableLayout",
     "assemble_global",
     "batch_edmd_from_psi",
     "build_dictionary",

@@ -77,12 +77,12 @@ def _cmd_simulate(args):
     else:
         states = simulate_training(config, s)[1]
     path = os.path.join(args.out, f"train_seed{s}.csv")
-    save_trajectory_csv(path, states, config.dt, config.system.layout)
+    save_trajectory_csv(path, states, config.dt, config.system)
     print(f"wrote {path} ({states.shape[0]} states)")
     if args.tests:
         for t in range(min(args.tests, config.test_count)):
             tp = os.path.join(args.out, f"test_seed{s}_{t:03d}.csv")
-            save_trajectory_csv(tp, data.test_states[t], config.dt, config.system.layout)
+            save_trajectory_csv(tp, data.test_states[t], config.dt, config.system)
         print(f"wrote {min(args.tests, config.test_count)} test trajectories")
 
 

@@ -7,7 +7,6 @@ bound, which is the observable basis every other module works in.
 """
 
 import numbers
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -259,28 +258,3 @@ def build_dictionary(var_count: int, max_degree: int) -> Dictionary:
     Size is C(var_count + max_degree, max_degree); entry 0 is the constant.
     """
     return Dictionary(var_count, max_degree)
-
-
-@dataclass(frozen=True)
-class VariableLayout:
-    """How the global state vector splits into per-subsystem blocks."""
-
-    subsystem_dims: tuple
-
-    def __post_init__(self):
-        dims = tuple(as_int(d, "subsystem dimension") for d in self.subsystem_dims)
-        if not dims or any(d < 1 for d in dims):
-            raise ValueError("subsystem dimensions must be positive")
-        object.__setattr__(self, "subsystem_dims", dims)
-
-    @property
-    def offsets(self) -> tuple:
-        """Prefix sums: offsets[i] is where subsystem i starts; last entry is D."""
-        out = [0]
-        for d in self.subsystem_dims:
-            out.append(out[-1] + d)
-        return tuple(out)
-
-    @property
-    def total_vars(self) -> int:
-        return sum(self.subsystem_dims)

@@ -6,10 +6,11 @@ dataset is exactly reproducible, and trajectory CSV input and output.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
-from .dictionary import VariableLayout, as_float, as_int
+from .dictionary import as_float, as_int
 from .generator import PolynomialVectorField
 from .model import write_csv
 
@@ -36,7 +37,7 @@ class Coupling:
     (x_source[observed_coord] - x_target[observed_coord])`` is added to the
     time derivative of ``x_target[drive_coord]``, by default the target's
     last coordinate (the velocity of a second-order oscillator).
-    CoupledSystem checks these fields against its layout.
+    CoupledSystem checks these fields against its subsystems.
     """
 
     target: int
@@ -50,17 +51,21 @@ class Coupling:
 class CoupledSystem:
     """Subsystem fields plus diffusive couplings.
 
-    Construction derives ``layout`` from the subsystems, checks every
-    coupling against it and builds ``field``, the full field RK4 integrates.
+    Subsystem i owns the global variables ``offsets[i]:offsets[i + 1]``,
+    in subsystem order; ``dim`` is the last offset. Construction works out
+    the offsets, checks every coupling against the subsystems and builds
+    ``field``, the full field RK4 integrates.
     """
 
     subsystems: list
     couplings: list
-    layout: VariableLayout = field(init=False)
+    offsets: tuple = field(init=False)
 
     def __post_init__(self):
-        self.layout = VariableLayout(tuple(f.var_count for f in self.subsystems))
-        offsets, D = self.layout.offsets, self.layout.total_vars
+        if not self.subsystems:
+            raise ValueError("a coupled system needs at least one subsystem")
+        self.offsets = offsets = (0, *accumulate(f.var_count for f in self.subsystems))
+        D = self.dim
         components = [[] for _ in range(D)]
         for i, f in enumerate(self.subsystems):
             for k, terms in enumerate(f.components):
@@ -79,9 +84,9 @@ class CoupledSystem:
 
     def _check(self, cp: Coupling) -> tuple:
         # (target, source, drive_coord, observed_coord, strength) of a coupling
-        # checked against the layout; the one check of coupling fields
+        # checked against the subsystems; the one check of coupling fields
         where = f"coupling {cp.target}<-{cp.source}"
-        dims = self.layout.subsystem_dims
+        dims = [f.var_count for f in self.subsystems]
         target = as_int(cp.target, f"{where}: target")
         source = as_int(cp.source, f"{where}: source")
         for role, index in (("target", target), ("source", source)):
@@ -105,7 +110,7 @@ class CoupledSystem:
 
     @property
     def dim(self) -> int:
-        return self.layout.total_vars
+        return self.offsets[-1]
 
 
 def rk4_step(fld, x, dt: float) -> np.ndarray:
@@ -178,26 +183,30 @@ def perturb_initial(x_train, radius: float, rng_seed: int) -> np.ndarray:
     return x_train + rng.uniform(-radius, radius, size=x_train.shape)
 
 
-def state_column_names(layout: VariableLayout) -> list:
+def state_column_names(system: CoupledSystem) -> list:
     """Column names x_<subsystem>_<coordinate> (1-based) for trajectory CSVs."""
     names = []
-    for i, d in enumerate(layout.subsystem_dims):
-        names.extend(f"x_{i + 1}_{k + 1}" for k in range(d))
+    for i, f in enumerate(system.subsystems):
+        names.extend(f"x_{i + 1}_{k + 1}" for k in range(f.var_count))
     return names
 
 
-def save_trajectory_csv(path, states: np.ndarray, dt: float, layout: VariableLayout) -> None:
-    """Write ``t`` plus one state column per variable, through write_csv."""
-    names = state_column_names(layout)
+def save_trajectory_csv(path, states: np.ndarray, dt: float, system: CoupledSystem) -> None:
+    """Write ``t`` plus one state column per variable of ``system``, through
+    write_csv."""
+    names = state_column_names(system)
     if len(names) != states.shape[1]:
-        raise ValueError("layout does not match trajectory dimension")
+        raise ValueError("system does not match trajectory dimension")
     rows = ([k * dt, *row] for k, row in enumerate(states.tolist()))
     write_csv(path, "t," + ",".join(names), rows)
 
 
 def load_trajectory_csv(path) -> tuple:
     """Read a trajectory CSV written by save_trajectory_csv as (states, dt)."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    try:
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     if data.shape[0] < 2:
         raise ValueError(f"{path}: at least two rows are needed to infer dt")
     if not np.isfinite(data).all():

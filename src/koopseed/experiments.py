@@ -28,7 +28,7 @@ from .dynamics import (
     simulate_batch,
 )
 from .edmd import batch_edmd_from_psi, online_init, online_update_many
-from .generator import PolynomialVectorField, local_koopman
+from .generator import PolynomialVectorField
 from .model import KoopmanModel, save_matrix_csv, write_csv
 from .spectral import eigen_order, forecast_matrices, relative_l2
 
@@ -245,14 +245,10 @@ def override_config(config: ExperimentConfig, **changes) -> ExperimentConfig:
 
 
 def derive_seed_model(config: ExperimentConfig) -> KoopmanModel:
-    """ODE-derived global Koopman matrix: per-subsystem generators advanced
-    over one sampling interval and embedded into the global dictionary."""
-    global_dict = config.dictionary()
-    locals_ = []
-    for fld in config.system.subsystems:
-        local_dict = build_dictionary(fld.var_count, config.degree)
-        locals_.append(local_koopman(fld, local_dict, config.dt))
-    return assemble_global(locals_, global_dict)
+    """ODE-derived global Koopman matrix: the subsystem equations advanced
+    over one sampling interval on the global dictionary, interaction
+    entries zeroed (``assemble_global``)."""
+    return assemble_global(config.system.subsystems, config.dictionary(), config.dt)
 
 
 def derive_seed(config: ExperimentConfig, out_path) -> KoopmanModel:

@@ -9,10 +9,9 @@ from koopseed.dictionary import (
     _CHUNK_ROWS,
     Dictionary,
     MonomialTable,
-    VariableLayout,
     build_dictionary,
 )
-from koopseed.model import KoopmanModel
+from koopseed.generator import PolynomialVectorField, local_koopman
 
 
 def test_sizes_match_binomial_counts():
@@ -158,38 +157,38 @@ def test_evaluate_bits_do_not_depend_on_the_ufunc_buffer_size():
     assert_same_bits(got, expect)
 
 
-def test_layout_offsets():
-    layout = VariableLayout((2, 3, 1))
-    assert layout.offsets == (0, 2, 5, 6)
-    assert layout.total_vars == 6
-    assert list(range(layout.offsets[1], layout.offsets[2])) == [2, 3, 4]
-    with pytest.raises(ValueError):
-        VariableLayout((2, 0))
-
-
 def test_sizes_must_be_integers_not_truncated():
-    assert VariableLayout((2.0, 1)).subsystem_dims == (2, 1)
-    with pytest.raises(ValueError, match=r"^subsystem dimension 1\.5 is not an integer$"):
-        VariableLayout((2, 1.5))
+    # a subsystem's size is its field's var_count
+    assert PolynomialVectorField(2.0, [[], []]).var_count == 2
+    with pytest.raises(ValueError, match=r"^var_count 1\.5 is not an integer$"):
+        PolynomialVectorField(1.5, [[]])
     with pytest.raises(ValueError, match=r"^var_count 2\.5 is not an integer$"):
         Dictionary(2.5, 3)
     with pytest.raises(ValueError, match="^max_degree True is not an integer$"):
         Dictionary(2, True)
 
 
+def decaying_field(dim, sign):
+    """dx_i/dt = sign * r_i x_i with rates r_i = 1, sqrt(2), sqrt(3): a
+    monomial's Koopman diagonal entry is exp(sign * dt * sum_i n_i r_i),
+    one value per multi-index."""
+    return PolynomialVectorField(
+        dim, [[(tuple(int(j == i) for j in range(dim)), sign * np.sqrt(i + 1))] for i in range(dim)]
+    )
+
+
 def embedded_indices(local, dims, subsystem, glob):
     """Global index of each of ``local``'s monomials for one subsystem, read
-    back from ``assemble_global``: that subsystem's local matrix is
-    diag(1, 2, ..., n) and every other one carries only its constant 1."""
-    n = len(local)
-    marked = np.diag(np.arange(1.0, n + 1))
-    constant_only = np.zeros((n, n))
-    constant_only[0, 0] = 1.0
-    models = [KoopmanModel(local, marked if s == subsystem else constant_only) for s in range(len(dims))]
-    diagonal = np.diag(assemble_global(models, glob).matrix)
+    back from ``assemble_global``: that subsystem's field decays and every
+    other one grows, so only the constant shares its diagonal entry 1. The
+    generator is diagonal, so the diagonal entries are the local model's
+    bit for bit."""
+    fields = [decaying_field(d, -1.0 if s == subsystem else 1.0) for s, d in enumerate(dims)]
+    diagonal = np.diag(assemble_global(fields, glob, 0.1).matrix)
+    marked = np.diag(local_koopman(fields[subsystem], local, 0.1).matrix)
     mapping = []
-    for k in range(n):
-        (where,) = np.flatnonzero(diagonal == k + 1)  # exactly one slot per monomial
+    for value in marked:
+        (where,) = np.flatnonzero(diagonal == value)  # exactly one slot per monomial
         mapping.append(int(where))
     return mapping
 

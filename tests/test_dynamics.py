@@ -6,7 +6,6 @@ import pytest
 from monomial_cases import assert_same_bits, reference_rk4
 
 from koopseed import dynamics
-from koopseed.dictionary import VariableLayout
 from koopseed.dynamics import (
     BlowUpError,
     CoupledSystem,
@@ -222,8 +221,16 @@ def pair_of_zero_fields(*couplings, dims=(2, 2)):
 
 class TestCoupling:
     def test_layout_is_derived_from_the_subsystems(self):
-        assert pair_of_zero_fields(Coupling(0, 1), dims=(2, 3)).layout == VariableLayout((2, 3))
-        assert DUFFING.layout == VariableLayout((2, 2, 2))
+        assert pair_of_zero_fields(Coupling(0, 1), dims=(2, 3)).offsets == (0, 2, 5)
+        assert DUFFING.offsets == (0, 2, 4, 6)
+
+    def test_layout_offsets(self):
+        system = pair_of_zero_fields(dims=(2, 3, 1))
+        assert system.offsets == (0, 2, 5, 6)
+        assert system.dim == 6
+        assert list(range(system.offsets[1], system.offsets[2])) == [2, 3, 4]
+        with pytest.raises(ValueError, match="^a coupled system needs at least one subsystem$"):
+            CoupledSystem(subsystems=[], couplings=[])
 
     def test_diffusive_field_values(self):
         system = pair_of_zero_fields(Coupling(target=0, source=1))  # drives the last coordinate
@@ -299,7 +306,7 @@ class TestTrajectoryCSV:
         x0 = sample_initial([(-1.5, 1.5)] * 6, 21)
         states = simulate(DUFFING, x0, 40, 0.01)
         path = tmp_path / "traj.csv"
-        save_trajectory_csv(path, states, 0.01, DUFFING.layout)
+        save_trajectory_csv(path, states, 0.01, DUFFING)
         header = path.read_text().splitlines()[0]
         assert header == "t,x_1_1,x_1_2,x_2_1,x_2_2,x_3_1,x_3_2"
         loaded, dt = load_trajectory_csv(path)
@@ -325,6 +332,24 @@ class TestTrajectoryCSV:
         path = tmp_path / "short.csv"
         path.write_text("t,x_1_1\n" + body)
         with pytest.raises(ValueError, match="at least two rows"):
+            load_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, cause",
+        [
+            ("0,abc\n0.01,2\n", "could not convert string 'abc' to float64 at row 0, column 2."),
+            (
+                "0,1\n0.01\n",
+                "the number of columns changed from 2 to 1 at row 2; "
+                "use `usecols` to select a subset and avoid this error",
+            ),
+        ],
+        ids=["not-a-number", "short-row"],
+    )
+    def test_malformed_body_names_the_file(self, tmp_path, body, cause):
+        path = tmp_path / "malformed.csv"
+        path.write_text("t,x_1_1\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {cause}')}$"):
             load_trajectory_csv(path)
 
     def test_trajectory_validates(self, tmp_path):

@@ -351,7 +351,7 @@ class TestDeriveSeed:
         assert seed.matrix.shape == (84, 84)
         # every interaction monomial row/column is structurally zero
         glob = cfg.dictionary()
-        offsets = cfg.system.layout.offsets
+        offsets = cfg.system.offsets
         for k, m in enumerate(glob.entries):
             if sum(any(m[a:b]) for a, b in zip(offsets, offsets[1:])) >= 2:
                 assert not seed.matrix[k, :].any()
