@@ -4,9 +4,9 @@ Pipeline: derive the seed Koopman matrix from the subsystems' governing
 polynomial ODEs, as the uncoupled field's generator (generator module)
 advanced on the full-system dictionary with the interaction rows zeroed
 (assembly), refine the seed from trajectory data with online EDMD (edmd),
-and predict through the eigen-decomposition (spectral). The dynamics
-module simulates the coupled benchmark systems, and the CLI runs the
-bundled experiments end to end.
+and predict from the state rows of K or its eigen-decomposition
+(spectral). The dynamics module simulates the coupled benchmark systems,
+and the CLI runs the bundled experiments end to end.
 """
 
 from .assembly import assemble_global

@@ -195,6 +195,8 @@ class Dictionary:
         self._index = {m: i for i, m in enumerate(self.entries)}
         self._exponents = np.array(self.entries, dtype=np.int64)
         self._monomials = MonomialTable(self._exponents)
+        self._states = np.array([self._index[tuple(row)] for row in np.eye(self.var_count, dtype=int)])
+        self._states.setflags(write=False)
         assert len(self.entries) == comb(self.var_count + self.max_degree, self.max_degree)
 
     def __len__(self):
@@ -226,9 +228,8 @@ class Dictionary:
         return tuple(multi_index) in self._index
 
     def state_indices(self) -> np.ndarray:
-        """Indices of the degree-1 monomials x_1 .. x_D, in variable order."""
-        eye = np.eye(self.var_count, dtype=np.int64)
-        return np.array([self.index_of(tuple(row)) for row in eye])
+        """Indices of the degree-1 monomials x_1 .. x_D, in variable order (read-only)."""
+        return self._states
 
     def evaluate(self, x) -> np.ndarray:
         """Evaluate every monomial at a state (or a batch of states).

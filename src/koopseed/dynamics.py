@@ -201,12 +201,28 @@ def save_trajectory_csv(path, states: np.ndarray, dt: float, system: CoupledSyst
     write_csv(path, "t," + ",".join(names), rows)
 
 
+def _malformed_line(path) -> str:
+    # ", line n: cause" for the first body line np.loadtxt rejects, n counted
+    # over the file (loadtxt's rows count from the header or the data), or ""
+    with open(path) as fh:  # loadtxt skips blank and comment lines
+        body = [(n, line.rstrip("\r\n").split("#")[0].split(",")) for n, line in enumerate(fh, start=1)]
+    body = [(n, cells) for n, cells in body[1:] if cells != [""]]
+    for n, cells in body:
+        if len(cells) != len(body[0][1]):
+            return f", line {n}: the number of columns changed from {len(body[0][1])} to {len(cells)}"
+        try:
+            np.array(cells, dtype=float)
+        except ValueError as exc:
+            return f", line {n}: {exc}"
+    return ""
+
+
 def load_trajectory_csv(path) -> tuple:
     """Read a trajectory CSV written by save_trajectory_csv as (states, dt)."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}{_malformed_line(path) or f': {exc}'}") from exc
     if data.shape[0] < 2:
         raise ValueError(f"{path}: at least two rows are needed to infer dt")
     if not np.isfinite(data).all():

@@ -436,9 +436,10 @@ def _onestep_scores(config, dictionary, s, data, models, notes) -> tuple:
     (keys, errors): keys are the checkpoints, and errors[i, j] holds the
     (test_count, length-1) errors of METHODS[j] at keys[i].
 
-    The forecasts are formed first. The test set is then scored in blocks of
-    whole trajectories of at most ``_SCORE_BLOCK_STATES`` states (one
-    trajectory when a trajectory is longer than that): each
+    The forecasts, the state rows of each K, are formed first. They are
+    exact, so ``notes`` gets no forecast path. The test set is then scored
+    in blocks of whole trajectories of at most ``_SCORE_BLOCK_STATES``
+    states (one trajectory when a trajectory is longer than that): each
     block's Psi is evaluated once, passed to ``onestep_errors`` with every
     forecast and released before the next block's, so one block's Psi is
     alive at a time. Every error is computed elementwise or by a product whose
@@ -452,10 +453,7 @@ def _onestep_scores(config, dictionary, s, data, models, notes) -> tuple:
     forecasts = {}
     for i, cp in enumerate(keys):
         for j, method in enumerate(METHODS):
-            mats, path = forecast_matrices(models[method][cp], [1])
-            if path != "spectral":
-                notes.append(f"seed={s} checkpoint={cp} method={method} forecast-path={path}")
-            forecasts[i, j] = mats[1]
+            forecasts[i, j] = forecast_matrices(models[method][cp], [1])[0][1]
     step = max(1, _SCORE_BLOCK_STATES // length)
     for lo in range(0, count, step):
         states = test_states[lo : lo + step]

@@ -1,12 +1,12 @@
 """Eigen-decomposition of Koopman matrices and state forecasting.
 
-Forecasts use eigenvalue/eigenfunction/mode triples (eigenfunctions contract
-left eigenvectors with the dictionary, modes are right eigenvectors on the
-state coordinates) and raise eigenvalues to the n-th power instead of
-iterating the matrix. A real K's complex terms come in conjugate pairs, so
-they are kept in a real eigenbasis: a query costs one eig, one real inverse
-and one real product for all horizons; an unsound eigenbasis falls back to
-matrix powers.
+A forecast matrix is B K^n, B the state rows of the identity; horizons up to
+1 are read off K. Longer ones use eigenvalue/eigenfunction/mode triples
+(eigenfunctions contract left eigenvectors with the dictionary, modes are
+right eigenvectors on the state coordinates) and raise eigenvalues to the
+n-th power. A real K's complex terms come in conjugate pairs, kept in a real
+eigenbasis: a query costs one eig, one real inverse and one real product for
+all horizons. An unsound eigenbasis falls back to the state-row recursion.
 """
 
 from dataclasses import dataclass
@@ -43,7 +43,7 @@ class SpectralDecomposition:
     upper term j and -2 Im phi_j at its lower term k. ``modes`` are the
     state rows of right_vectors. When the eigenbasis is too ill-conditioned
     to invert accurately the decomposition is flagged ``defective``, and
-    forecast_matrices falls back to matrix powers.
+    forecast_matrices falls back to the state-row recursion.
     """
 
     eigenvalues: np.ndarray
@@ -139,32 +139,29 @@ def prediction_matrix(dec: SpectralDecomposition, n: int) -> np.ndarray:
 
 
 def forecast_matrices(model: KoopmanModel, horizons) -> tuple:
-    """D x N forecast matrices per horizon, via the spectral path when the
-    eigenbasis is sound, otherwise via explicit matrix powers.
+    """D x N forecast matrices B K^n per horizon. Horizons <= 1 are exact
+    reads, B and the state rows of K; a longer query is spectral when the
+    eigenbasis is sound, else the state-row recursion M_n = M_{n-1} @ K.
 
-    Horizons must be non-negative integers (0 gives the state projector);
-    anything else, a bool included, raises ValueError before either path runs.
-    Returns (matrices dict, path) with path in {"spectral", "matrix-power"}.
+    Horizons must be non-negative integers; anything else, a bool included,
+    raises ValueError before either path runs. Returns (matrices dict, path)
+    with path in {"spectral", "matrix-power"}.
     """
     horizons = list(horizons)
     invalid = [n for n in horizons if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0]
     if invalid:
         raise ValueError(f"forecast horizon {invalid[0]!r} is not a non-negative integer")
     horizons = sorted(set(int(n) for n in horizons))
-    try:
-        dec = decompose(model)
-        return dict(zip(horizons, _spectral_forecasts(dec, horizons))), "spectral"
-    except (DefectiveDecompositionError, ValueError):
-        B = state_projector(model.dictionary)
-        out = {}
-        Kn = np.eye(len(model.dictionary))
-        step = 0
-        for n in horizons:
-            while step < n:
-                Kn = model.matrix @ Kn
-                step += 1
-            out[n] = B @ Kn
-        return out, "matrix-power"
+    if horizons and horizons[-1] > 1:
+        try:
+            return dict(zip(horizons, _spectral_forecasts(decompose(model), horizons))), "spectral"
+        except (DefectiveDecompositionError, ValueError):
+            pass
+    K, rows = model.matrix, model.dictionary.state_indices()
+    M = [state_projector(model.dictionary), K[rows]]
+    while len(M) <= max(horizons, default=0):
+        M.append(M[-1] @ K)
+    return {n: M[n] for n in horizons}, "matrix-power"
 
 
 def relative_l2(y_true, y_pred) -> np.ndarray:

@@ -53,6 +53,16 @@ def test_state_indices_are_variable_order():
     assert list(d.state_indices()) == [1, 2, 3, 4]
 
 
+def test_state_indices_cannot_be_written():
+    # one array is shared by every caller, so a write would move them all
+    d = build_dictionary(2, 3)
+    rows = d.state_indices()
+    assert rows is d.state_indices()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0] = 5
+    assert list(d.state_indices()) == [1, 2]
+
+
 def test_rejects_bad_shapes():
     with pytest.raises(ValueError):
         build_dictionary(0, 3)

@@ -337,19 +337,29 @@ class TestTrajectoryCSV:
     @pytest.mark.parametrize(
         "body, cause",
         [
-            ("0,abc\n0.01,2\n", "could not convert string 'abc' to float64 at row 0, column 2."),
-            (
-                "0,1\n0.01\n",
-                "the number of columns changed from 2 to 1 at row 2; "
-                "use `usecols` to select a subset and avoid this error",
-            ),
+            # numpy's own messages read "row 0" here and "row 2" below
+            ("0,abc\n0.01,2\n", "line 2: could not convert string to float: 'abc'"),
+            ("0,1\n0.01\n", "line 3: the number of columns changed from 2 to 1"),
         ],
         ids=["not-a-number", "short-row"],
     )
     def test_malformed_body_names_the_file(self, tmp_path, body, cause):
         path = tmp_path / "malformed.csv"
         path.write_text("t,x_1_1\n" + body)
-        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {cause}')}$"):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, {cause}')}$"):
+            load_trajectory_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, line",
+        [("0,1\n\n# note\n0.01,x\n", 5), ("0,1 # first\n0.01,2\n \n", 4)],
+        ids=["after-blank-and-comment-lines", "whitespace-line"],
+    )
+    def test_malformed_line_counts_every_file_line(self, tmp_path, body, line):
+        # np.loadtxt skips empty and comment-only lines; the line named is
+        # still the file's own
+        path = tmp_path / "malformed.csv"
+        path.write_text("t,x_1_1\n" + body)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}, line {line}: ')}"):
             load_trajectory_csv(path)
 
     def test_trajectory_validates(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import weakref
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from koopseed import experiments
+from koopseed import experiments, spectral
 from koopseed.dictionary import build_dictionary
 from koopseed.experiments import (
     METHODS,
@@ -82,6 +83,19 @@ def tiny_config_dict(**overrides):
 @pytest.fixture
 def tiny_config():
     return config_from_dict(tiny_config_dict())
+
+
+def flag_defective(patch, flagged=lambda model: True):
+    """Make ``spectral.decompose`` flag the decomposition of every model that
+    ``flagged`` picks as defective, so that its forecasts of horizons past 1
+    take the state-row recursion; ``patch`` is a monkeypatch."""
+    decompose = spectral.decompose
+
+    def forced(model):
+        dec = decompose(model)
+        return dataclasses.replace(dec, defective=dec.defective or flagged(model))
+
+    patch.setattr(spectral, "decompose", forced)
 
 
 class TestConfig:
@@ -525,37 +539,40 @@ class TestExperimentDrivers:
         run_experiments(cfg, ("onestep", "nstep"), tmp_path / "spectral")
         assert not any(p.suffix == ".txt" for p in (tmp_path / "spectral").iterdir())
 
-        spectral_path = experiments.forecast_matrices
-
-        def forced(model, horizons):  # the proposed model at 130 pairs only
-            matrices, path = spectral_path(model, horizons)
-            if model.diagnostics.get("sigma") is not None and model.diagnostics["pairs"] == 130:
-                path = "matrix-power"
-            return matrices, path
-
-        monkeypatch.setattr(experiments, "forecast_matrices", forced)
+        # the proposed models' decompositions flagged: of those, only the
+        # n-step query reaches decompose, as one-step forecasts are row reads
+        flag_defective(monkeypatch, lambda model: model.diagnostics.get("sigma") is not None)
         out = tmp_path / "forced"
         run_experiments(cfg, ("onestep", "nstep"), out)
-        notes = (out / "onestep_notes.txt").read_text()
-        assert notes == "seed=0 checkpoint=130 method=proposed forecast-path=matrix-power\n"
-        assert not (out / "nstep_notes.txt").exists()
+        notes = (out / "nstep_notes.txt").read_text()
+        assert notes == "seed=0 pairs=200 method=proposed forecast-path=matrix-power\n"
+        assert not (out / "onestep_notes.txt").exists()
 
     def test_normal_run_removes_stale_notes(self, tiny_config, tmp_path, monkeypatch):
-        # every forecast forced onto the matrix-power path, then a normal run
-        # into the same directory: the first run's notes must not remain
-        spectral_path = experiments.forecast_matrices
-
-        def forced(model, horizons):
-            return spectral_path(model, horizons)[0], "matrix-power"
-
+        # every decomposition flagged defective, then a normal run into the
+        # same directory: the first run's notes must not remain, and neither
+        # may a one-step notes file that an older version wrote
         with monkeypatch.context() as patch:
-            patch.setattr(experiments, "forecast_matrices", forced)
+            flag_defective(patch)
             run_experiments(tiny_config, ("onestep", "nstep"), tmp_path)
-        notes = (tmp_path / "onestep_notes.txt").read_text().splitlines()
-        assert len(notes) == tiny_config.seeds * len(tiny_config.checkpoints()) * len(METHODS) == 8
-        assert (tmp_path / "nstep_notes.txt").read_text().count("forecast-path=matrix-power") == 4
+        notes = (tmp_path / "nstep_notes.txt").read_text().splitlines()
+        assert notes == [
+            f"seed={s} pairs=200 method={m} forecast-path=matrix-power"
+            for s in range(tiny_config.seeds)
+            for m in METHODS
+        ]
+        assert not (tmp_path / "onestep_notes.txt").exists()
+        (tmp_path / "onestep_notes.txt").write_text("seed=0 checkpoint=130 method=edmd forecast-path=matrix-power\n")
         run_experiments(tiny_config, ("onestep", "nstep"), tmp_path)
         assert not any(p.suffix == ".txt" for p in tmp_path.iterdir())
+
+    def test_horizon_one_nstep_query_notes_each_method(self, tiny_config, tmp_path):
+        # a query of horizon 1 alone is a row read, which reports the path
+        # "matrix-power", so the n-step stage notes it
+        cfg = override_config(tiny_config, seeds=1, nstep_horizon=1)
+        run_experiments(cfg, ("nstep",), tmp_path)
+        notes = (tmp_path / "nstep_notes.txt").read_text().splitlines()
+        assert notes == [f"seed=0 pairs=200 method={m} forecast-path=matrix-power" for m in METHODS]
 
     def test_run_without_raw_removes_stale_raw_files(self, tiny_config, tmp_path):
         run_experiments(tiny_config, ("onestep", "nstep"), tmp_path, write_raw=True)

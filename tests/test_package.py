@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 import koopseed
-from koopseed import cli, experiments
+from koopseed import cli
 from koopseed.cli import build_parser, main
 from koopseed.experiments import ExperimentConfig
 
-from test_experiments import tiny_config_dict
+from test_experiments import flag_defective, tiny_config_dict
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -89,9 +89,9 @@ def test_readme_output_list_names_every_written_file(tmp_path, monkeypatch):
     runs = [["derive"], ["simulate", "--tests", "2"], ["train-online", *traj], ["train-batch", *traj], ["spectrum"]]
     for command, *flags in runs:
         main([command, "--config", str(config), "--out", str(out), *flags])
-    # every forecast labelled a fallback, so each scored stage writes its notes
-    spectral = experiments.forecast_matrices
-    monkeypatch.setattr(experiments, "forecast_matrices", lambda m, h: (spectral(m, h)[0], "matrix-power"))
+    # every decomposition flagged defective, so the n-step stage writes its
+    # notes; one-step forecasts never decompose, so that stage writes none
+    flag_defective(monkeypatch)
     for command in ("eval-onestep", "eval-nstep"):
         main([command, "--config", str(config), "--out", str(out)])
     written = sorted(p.name for p in out.iterdir())

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from monomial_cases import assert_same_bits
 
+from koopseed import spectral
 from koopseed.dictionary import build_dictionary
 from koopseed.generator import PolynomialVectorField, local_koopman
 from koopseed.model import KoopmanModel
@@ -283,11 +285,55 @@ class TestPredict:
 
 class TestForecastMatrices:
     def test_nonfinite_model_takes_matrix_powers(self):
+        # horizon 2 reaches decompose, which rejects the model
         d = build_dictionary(1, 1)
         K = np.array([[1.0, 0.0], [np.inf, 0.5]])
         with np.errstate(invalid="ignore"):  # inf * 0 in the matrix powers
-            _, path = forecast_matrices(KoopmanModel(d, K), [1])
+            _, path = forecast_matrices(KoopmanModel(d, K), [2])
         assert path == "matrix-power"
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([(1, 1), (1, 3), (2, 2), (3, 2)]),
+        st.sampled_from(["random", "jordan", "inf"]),
+    )
+    def test_horizons_up_to_one_are_row_reads(self, seed, shape, kind):
+        # B and the state rows of K, bit for bit, without a decomposition
+        d = build_dictionary(*shape)
+        N, rows = len(d), d.state_indices()
+        rng = np.random.default_rng(seed)
+        K = rng.standard_normal((N, N))
+        if kind == "jordan":
+            K = np.diag(np.full(N, rng.uniform(-1, 1))) + np.diag(np.ones(N - 1), 1)
+        elif kind == "inf":
+            K[rng.integers(N), rng.integers(N)] = rng.choice([np.inf, -np.inf])
+        model = KoopmanModel(d, K)
+        expected = {0: np.eye(N)[rows], 1: K[rows]}
+        called = AssertionError("decompose called for horizons <= 1")
+        with mock.patch.object(spectral, "decompose", side_effect=called):
+            for horizons in ([], [0], [1], [0, 1], [1, 0, 1]):
+                mats, path = forecast_matrices(model, horizons)
+                assert path == "matrix-power"
+                assert sorted(mats) == sorted(set(horizons))
+                for n, M in mats.items():
+                    assert_same_bits(M, expected[n])
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 3), (2, 2), (2, 3)]))
+    def test_defective_forecasts_are_the_state_row_recursion(self, seed, shape):
+        # one eigenvalue in a chain of Jordan blocks: decompose flags it, and
+        # horizons 1..30 are B K, then one product by K per horizon
+        d = build_dictionary(*shape)
+        N = len(d)
+        rng = np.random.default_rng(seed)
+        K = np.diag(np.full(N, rng.uniform(0.3, 0.9))) + np.triu(rng.uniform(0.1, 1.0, (N, N)), 1)
+        model = KoopmanModel(d, K)
+        assert decompose(model).defective
+        mats, path = forecast_matrices(model, range(1, 31))
+        assert path == "matrix-power"
+        M = K[d.state_indices()]
+        for n in range(1, 31):
+            assert_same_bits(mats[n], M)
+            M = M @ K
 
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 2), (2, 1), (2, 2), (3, 2)]))
     def test_spectral_equals_matrix_power(self, seed, shape):
@@ -364,9 +410,10 @@ class TestForecastMatrices:
             assert np.array_equal(mats[n], prediction_matrix(dec, n))
 
     def test_zero_and_empty_horizons(self):
+        # horizon 2 takes the query past the row reads, to decompose
         d = build_dictionary(1, 2)
         for K, expected in ((np.diag([1.0, 0.5, 0.25]), "spectral"), (JORDAN_K, "matrix-power")):
-            mats, path = forecast_matrices(KoopmanModel(d, K), [0])
+            mats, path = forecast_matrices(KoopmanModel(d, K), [0, 2])
             assert path == expected
             assert np.allclose(mats[0], state_projector(d), rtol=0.0, atol=1e-14)
             assert forecast_matrices(KoopmanModel(d, K), [])[0] == {}
@@ -375,9 +422,9 @@ class TestForecastMatrices:
     def test_invalid_horizon_rejected_on_spectral_path(self, bad):
         # K^-1 exists here, so a negative horizon used to return 2.0 at x
         model = KoopmanModel(build_dictionary(1, 2), np.diag([1.0, 0.5, 0.25]))
-        assert forecast_matrices(model, [1])[1] == "spectral"
+        assert forecast_matrices(model, [2])[1] == "spectral"
         with pytest.raises(ValueError, match="horizon"):
-            forecast_matrices(model, [1, bad])
+            forecast_matrices(model, [2, bad])
 
     @pytest.mark.parametrize("bad", [-1, 2.7, True])
     def test_invalid_horizon_rejected_on_matrix_power_path(self, bad):
