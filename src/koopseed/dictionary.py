@@ -46,116 +46,61 @@ def as_list(value, what: str) -> list:
 class MonomialTable:
     """Evaluates a fixed list of monomials, built once per exponent list.
 
-    Every monomial with two or more nonzero exponents is its *prefix* (the
-    same tuple with its last nonzero exponent set to 0) times one factor
-    ``x_v**e``; prefixes missing from the list are kept as hidden rows. The
-    factors with e >= 2 are formed in one ``power`` call, and the products
-    are filled level by level (by nonzero-variable count) with one
-    gather-multiply per level, in a variables-first table: a row of ones,
-    the variables, the powers, then the products.
+    A pass fills a factor table for at most _CHUNK_ROWS states: a row of
+    ones, the variables, then the powers ``x_v**e`` with e >= 2. Each
+    monomial is the left-to-right product of its nonzero factors in
+    variable order, padded at the end with the ones row; slot k holds every
+    monomial's k-th factor row, and the pass folds the slots with one
+    gather-multiply each. That is the product ``prod_d x[..., d, None] **
+    exponents[:, d]`` forms, bit for bit: a factor with e = 0 is 1 and one
+    with e = 1 is x itself, and multiplying by 1, the padding included, is
+    exact.
 
-    Construction works out everything that does not depend on the states:
-    the power source rows (1 + each power's base variable), an exponent
-    block with one exponent per power row and state, the slice of power
-    rows, each level's gather rows and the rows of the listed monomials.
-    ``_table`` is the one kernel: it fills the table for at most
-    _CHUNK_ROWS states in a fixed handful of numpy calls, with ``power``
-    writing straight into the power rows. A call gathers the listed rows of
-    one table, or of one table per chunk for larger batches, so a single
-    state pays no chunk loop.
-
-    The powers stay one ``power`` call over arrays because that call
-    defines the bits: its SIMD pow can differ in the last bit from ``x *
-    x``, from ``math.pow`` and between ``-a`` and ``a``. Each value is the
-    left-to-right product of ``x_d**e_d`` over d that ``prod_d x[..., d,
-    None] ** exponents[:, d]`` forms, and so is bit-identical to it for two
-    or more monomials: multiplying by a factor with e = 0, which is 1, is
-    exact, and a factor with e = 1 is x itself, which pow returns exactly.
-    (For a single monomial that loop broadcasts its exponent, and numpy's
-    power then squares instead of calling pow.)
+    The powers are one ``power`` call over arrays because that call defines
+    the bits: its SIMD pow can differ in the last bit from ``x * x``, from
+    ``math.pow`` and between ``-a`` and ``a``. It gets one exponent per cell,
+    column-major so that a single state's block is contiguous: an exponent
+    broadcast along the states lets numpy square instead of calling pow once
+    a row passes half its buffer (np.getbufsize()).
     """
 
     def __init__(self, exponents):
         exponents = np.asarray(exponents, dtype=np.int64)
         self.var_count = exponents.shape[1]
-        monomials = [tuple(int(e) for e in m) for m in exponents]
-
-        # monomial with >= 2 nonzero exponents -> (level, prefix, last factor)
-        products = {}
-        powers = set()  # factors (v, e) with e >= 2
-        pending = list(monomials)
-        while pending:
-            m = pending.pop()
-            nonzero = [v for v, e in enumerate(m) if e]
-            last = nonzero[-1] if nonzero else 0
-            if m[last] >= 2:
-                powers.add((last, m[last]))
-            if len(nonzero) >= 2 and m not in products:
-                prefix = m[:last] + (0,) + m[last + 1 :]
-                products[m] = (len(nonzero), prefix, (last, m[last]))
-                pending.append(prefix)
-
-        # Scratch rows: ones, x_v, the powers, then the products by level.
-        powers = sorted(powers)
-        # At least two powers, for the same reason: a broadcast exponent 2
-        # is squared, which can differ from pow in the last bit.
-        if len(powers) == 1:
-            powers *= 2
-        power_row = {f: 1 + self.var_count + i for i, f in enumerate(powers)}
-        order = sorted(products, key=lambda m: products[m][0])
-        position = {m: 1 + self.var_count + len(powers) + i for i, m in enumerate(order)}
-
-        def factor_row(v, e):
-            return 0 if e == 0 else 1 + v if e == 1 else power_row[(v, e)]
-
-        def row_of(m):
-            if m in position:
-                return position[m]
-            v = next((v for v, e in enumerate(m) if e), 0)
-            return factor_row(v, m[v])
-
-        self._levels = []
-        for level in sorted({products[m][0] for m in order}):
-            block = [m for m in order if products[m][0] == level]
-            lo = position[block[0]]
-            prefixes = np.array([row_of(products[m][1]) for m in block])
-            factors = np.array([factor_row(*products[m][2]) for m in block])
-            self._levels.append((lo, lo + len(block), prefixes, factors))
-        first_power = 1 + self.var_count
+        powers = sorted({(v, int(e)) for m in exponents for v, e in enumerate(m) if e >= 2})
+        row = {(v, 1): 1 + v for v in range(self.var_count)}
+        row.update({f: 1 + self.var_count + i for i, f in enumerate(powers)})
+        factors = [[row[(v, int(e))] for v, e in enumerate(m) if e] for m in exponents]
+        slots = np.zeros((max([1] + [len(f) for f in factors]), len(factors)), dtype=np.intp)
+        for i, f in enumerate(factors):
+            slots[: len(f), i] = f
+        self._slots = tuple(slots)
         self._sources = np.array([1 + v for v, _ in powers], dtype=np.intp)
-        # One exponent per cell, column-major so that a single state's block
-        # is contiguous: an exponent broadcast along the states lets numpy
-        # square instead of calling pow once a row passes half its buffer
-        # (np.getbufsize()).
         degrees = np.array([e for _, e in powers], dtype=float)
         self._exponents = np.repeat(degrees[None, :], _CHUNK_ROWS, axis=0).T
-        self._power_rows = slice(first_power, first_power + len(powers))
-        self._table_rows = first_power + len(powers) + len(order)
-        self._visible = np.array([row_of(m) for m in monomials], dtype=np.intp)
 
-    def _table(self, x) -> np.ndarray:
-        # the filled (table rows, n) table at states x of shape (n,
-        # var_count), n <= _CHUNK_ROWS
-        table = np.empty((self._table_rows, x.shape[0]))
+    def _fold(self, x) -> np.ndarray:
+        # the (count, n) monomials at states x of shape (n, var_count), n <= _CHUNK_ROWS
+        table = np.empty((1 + self.var_count + len(self._sources), x.shape[0]))
         table[0] = 1.0
-        table[1 : self._power_rows.start] = x.T
+        table[1 : 1 + self.var_count] = x.T
         exponents = self._exponents[:, : x.shape[0]]
-        np.power(table.take(self._sources, axis=0), exponents, out=table[self._power_rows])
-        for lo, hi, prefixes, factors in self._levels:
-            np.multiply(table.take(prefixes, axis=0), table.take(factors, axis=0), out=table[lo:hi])
-        return table
+        np.power(table.take(self._sources, axis=0), exponents, out=table[1 + self.var_count :])
+        out = table.take(self._slots[0], axis=0)
+        for slot in self._slots[1:]:
+            out *= table.take(slot, axis=0)
+        return out
 
     def __call__(self, x) -> np.ndarray:
         """Monomial values at states x of shape (..., var_count): a
         C-contiguous (..., count)."""
         flat = x if x.ndim == 2 else x.reshape(-1, self.var_count)
         if flat.shape[0] <= _CHUNK_ROWS:
-            out = np.ascontiguousarray(self._table(flat).take(self._visible, axis=0).T)
+            out = np.ascontiguousarray(self._fold(flat).T)
         else:
-            out = np.empty((flat.shape[0], len(self._visible)))
+            out = np.empty((flat.shape[0], len(self._slots[0])))
             for start in range(0, flat.shape[0], _CHUNK_ROWS):
-                table = self._table(flat[start : start + _CHUNK_ROWS])
-                out[start : start + _CHUNK_ROWS] = table.take(self._visible, axis=0).T
+                out[start : start + _CHUNK_ROWS] = self._fold(flat[start : start + _CHUNK_ROWS]).T
         return out if x.ndim == 2 else out.reshape(x.shape[:-1] + out.shape[-1:])
 
 

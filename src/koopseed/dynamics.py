@@ -203,17 +203,18 @@ def save_trajectory_csv(path, states: np.ndarray, dt: float, system: CoupledSyst
 
 def _malformed_line(path) -> str:
     # ", line n: cause" for the first body line np.loadtxt rejects, n counted
-    # over the file (loadtxt's rows count from the header or the data), or ""
+    # over the file (loadtxt's rows count from the header or the data), or "";
+    # each line is parsed by loadtxt itself, whose rule is not float's
     with open(path) as fh:  # loadtxt skips blank and comment lines
-        body = [(n, line.rstrip("\r\n").split("#")[0].split(",")) for n, line in enumerate(fh, start=1)]
-    body = [(n, cells) for n, cells in body[1:] if cells != [""]]
-    for n, cells in body:
-        if len(cells) != len(body[0][1]):
-            return f", line {n}: the number of columns changed from {len(body[0][1])} to {len(cells)}"
+        body = [(n, line.rstrip("\r\n")) for n, line in enumerate(fh, start=1)]
+    body = [(n, line, line.split("#")[0].split(",")) for n, line in body[1:] if line.split("#")[0]]
+    for n, line, cells in body:
+        if len(cells) != len(body[0][2]):
+            return f", line {n}: the number of columns changed from {len(body[0][2])} to {len(cells)}"
         try:
-            np.array(cells, dtype=float)
-        except ValueError as exc:
-            return f", line {n}: {exc}"
+            np.loadtxt([line], delimiter=",")
+        except ValueError as exc:  # the line is loadtxt's row 0 here
+            return f", line {n}: {str(exc).replace(' at row 0,', ' at')}"
     return ""
 
 

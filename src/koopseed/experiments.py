@@ -476,7 +476,7 @@ def _nstep_scores(config, dictionary, s, data, models, notes) -> tuple:
     errors = np.empty((len(keys), len(METHODS), psi0.shape[0]))
     for j, method in enumerate(METHODS):
         mats, path = forecast_matrices(models[method][pairs], keys)
-        if path != "spectral":
+        if path != "spectral" and config.nstep_horizon > 1:  # horizon 1 is a row read
             notes.append(f"seed={s} pairs={pairs} method={method} forecast-path={path}")
         errors[:, j] = nstep_errors(mats, psi0, data.test_states, len(keys))
     return keys, errors

@@ -84,8 +84,8 @@ def state_batches(draw, var_count, rows=None):
 
 @st.composite
 def exponent_lists(draw):
-    """2 to 12 monomials over 1 to 4 variables with top exponent 1, 2 or 3;
-    prefixes of the listed monomials are often missing from the list."""
+    """2 to 12 monomials over 1 to 4 variables with top exponent 1, 2 or 3,
+    in any order and with repeats and zero rows allowed."""
     var_count = draw(st.integers(1, 4))
     top = draw(st.sampled_from([1, 2, 3]))
     count = draw(st.integers(2, 12))

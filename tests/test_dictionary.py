@@ -155,16 +155,32 @@ def test_evaluate_matches_power_loop_across_the_chunk_boundary(rows):
 def test_evaluate_bits_do_not_depend_on_the_ufunc_buffer_size():
     # numpy squares instead of calling pow when an exponent is broadcast
     # along a row longer than half its buffer, so a small buffer would
-    # expose an exponent column that is not stored in full
+    # expose an exponent column that is not stored in full. Besides the
+    # presets' dictionary, two lists whose table has a single power row, at
+    # single states, (1, D) batches and one row past a chunk
     d = build_dictionary(6, 3)
-    x = np.random.default_rng(7).uniform(-3.0, 3.0, (_CHUNK_ROWS, 6))
-    expect = power_loop(x, d.exponents)
-    old = np.setbufsize(32)
-    try:
-        got = d.evaluate(x)
-    finally:
-        np.setbufsize(old)
-    assert_same_bits(got, expect)
+    rng = np.random.default_rng(7)
+    cases = [(d.evaluate, d.exponents, rng.uniform(-3.0, 3.0, (_CHUNK_ROWS, 6)))]
+    for exponents in ([[2, 0], [0, 1]], [[0, 3], [1, 1]]):
+        table, exponents = MonomialTable(exponents), np.array(exponents)
+        singles = rng.uniform(-3.0, 3.0, (64, 2))
+        for x in [*singles, *singles[:, None], rng.uniform(-3.0, 3.0, (_CHUNK_ROWS + 1, 2))]:
+            cases.append((table, exponents, x))
+    for evaluate, exponents, x in cases:
+        expect = power_loop(x, exponents)
+        old = np.setbufsize(32)
+        try:
+            got = evaluate(x)
+        finally:
+            np.setbufsize(old)
+        assert_same_bits(got, expect)
+
+
+def test_constant_only_list_gives_ones():
+    table = MonomialTable([[0, 0]])
+    x = np.random.default_rng(3).uniform(-3.0, 3.0, (_CHUNK_ROWS + 1, 2))
+    assert_same_bits(table(x), np.ones((_CHUNK_ROWS + 1, 1)))
+    assert_same_bits(table(x[0]), np.ones(1))
 
 
 def test_sizes_must_be_integers_not_truncated():

@@ -338,10 +338,12 @@ class TestTrajectoryCSV:
         "body, cause",
         [
             # numpy's own messages read "row 0" here and "row 2" below
-            ("0,abc\n0.01,2\n", "line 2: could not convert string to float: 'abc'"),
+            ("0,abc\n0.01,2\n", "line 2: could not convert string 'abc' to float64 at column 2."),
             ("0,1\n0.01\n", "line 3: the number of columns changed from 2 to 1"),
+            # float("1_0") is 10.0, but loadtxt rejects it
+            ("0,1_0\n0.01,2\n", "line 2: could not convert string '1_0' to float64 at column 2."),
         ],
-        ids=["not-a-number", "short-row"],
+        ids=["not-a-number", "short-row", "digit-separator"],
     )
     def test_malformed_body_names_the_file(self, tmp_path, body, cause):
         path = tmp_path / "malformed.csv"

@@ -566,13 +566,13 @@ class TestExperimentDrivers:
         run_experiments(tiny_config, ("onestep", "nstep"), tmp_path)
         assert not any(p.suffix == ".txt" for p in tmp_path.iterdir())
 
-    def test_horizon_one_nstep_query_notes_each_method(self, tiny_config, tmp_path):
-        # a query of horizon 1 alone is a row read, which reports the path
-        # "matrix-power", so the n-step stage notes it
+    def test_horizon_one_nstep_query_writes_no_notes(self, tiny_config, tmp_path):
+        # a query of horizon 1 alone is an exact row read, not a fallback,
+        # although it reports the path "matrix-power"
         cfg = override_config(tiny_config, seeds=1, nstep_horizon=1)
         run_experiments(cfg, ("nstep",), tmp_path)
-        notes = (tmp_path / "nstep_notes.txt").read_text().splitlines()
-        assert notes == [f"seed=0 pairs=200 method={m} forecast-path=matrix-power" for m in METHODS]
+        assert (tmp_path / "nstep_summary.csv").exists()
+        assert not any(p.suffix == ".txt" for p in tmp_path.iterdir())
 
     def test_run_without_raw_removes_stale_raw_files(self, tiny_config, tmp_path):
         run_experiments(tiny_config, ("onestep", "nstep"), tmp_path, write_raw=True)

@@ -103,7 +103,9 @@ class TestPolynomialVectorField:
 
     def test_zero_field(self):
         f = PolynomialVectorField(2, [[], []])
-        assert np.array_equal(f.evaluate([1.0, 2.0]), np.zeros(2))
+        assert_same_bits(f.evaluate(np.array([1.0, 2.0])), np.zeros(2))
+        xs = np.random.default_rng(0).uniform(-1, 1, (_CHUNK_ROWS + 1, 2))
+        assert_same_bits(f.evaluate(xs), np.zeros((_CHUNK_ROWS + 1, 2)))
 
     @given(st.data())
     def test_evaluate_matches_power_loop_bit_for_bit(self, data):
