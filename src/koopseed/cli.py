@@ -95,13 +95,13 @@ def _train_pairs_from_csv(config, path, pairs):
             f"{path} has {states.shape[1]} state columns, the config's system has dimension "
             f"{config.system.dim}"
         )
-    dictionary = config.dictionary()
-    psi = dictionary.evaluate(states)
-    available = psi.shape[0] - 1
+    available = states.shape[0] - 1
     m = available if pairs is None else pairs
     if not 1 <= m <= available:
         raise SystemExit(f"--pairs must lie in [1, {available}]")
-    return dictionary, psi[:m], psi[1 : m + 1], m
+    dictionary = config.dictionary()
+    psi = dictionary.evaluate(states[: m + 1])
+    return dictionary, psi[:m], psi[1:], m
 
 
 def _cmd_train_online(args):

@@ -92,15 +92,18 @@ class MonomialTable:
         return out
 
     def __call__(self, x) -> np.ndarray:
-        """Monomial values at states x of shape (..., var_count): a
-        C-contiguous (..., count)."""
+        """Monomial values at states x of shape (..., var_count), a (..., count).
+        One pass returns C-contiguous rows; more passes write their
+        monomial-major folds into a (count, n) array and return its
+        transpose, so ``out.reshape(-1, count).T`` is C-contiguous."""
         flat = x if x.ndim == 2 else x.reshape(-1, self.var_count)
         if flat.shape[0] <= _CHUNK_ROWS:
             out = np.ascontiguousarray(self._fold(flat).T)
         else:
-            out = np.empty((flat.shape[0], len(self._slots[0])))
+            out = np.empty((len(self._slots[0]), flat.shape[0]))
             for start in range(0, flat.shape[0], _CHUNK_ROWS):
-                out[start : start + _CHUNK_ROWS] = self._fold(flat[start : start + _CHUNK_ROWS]).T
+                out[:, start : start + _CHUNK_ROWS] = self._fold(flat[start : start + _CHUNK_ROWS])
+            out = out.T
         return out if x.ndim == 2 else out.reshape(x.shape[:-1] + out.shape[-1:])
 
 
@@ -186,7 +189,8 @@ class Dictionary:
         Returns
         -------
         ndarray of shape (size,) or (..., size); component k is
-        prod_i x_i**exponents_k[i], so the constant slot is always 1.
+        prod_i x_i**exponents_k[i], so the constant slot is always 1. More
+        than _CHUNK_ROWS states come monomial-major (MonomialTable.__call__).
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.var_count:

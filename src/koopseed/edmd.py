@@ -51,9 +51,11 @@ def batch_edmd_from_psi(
     Q and P are sums of outer products over the pairs; P^+ is the SVD
     pseudoinverse with singular values below eps * max_dim * sigma_max
     zeroed. Rank deficiency is tolerated and reported in the diagnostics.
+    The products read C-contiguous rows whatever the inputs' layout.
     """
     if psi_x.shape[0] < 1:
         raise ValueError("at least one snapshot pair is required")
+    psi_x, psi_y = np.ascontiguousarray(psi_x), np.ascontiguousarray(psi_y)
     Q = psi_y.T @ psi_x
     P = psi_x.T @ psi_x
     u, s, vt = np.linalg.svd(P)
@@ -237,11 +239,11 @@ def online_update_many(
 
     The rows go through the block recursion of ``_absorb``. Splitting them
     across calls at multiples of ``_BLOCK_PAIRS`` gives the same bits as one
-    call; other splits agree up to rounding.
+    call; other splits agree up to rounding. It reads C-contiguous rows.
     """
     n = state._base[0].shape[0]  # the size, without folding pending terms
-    psi_x = np.asarray(psi_x, dtype=float)
-    psi_y = np.asarray(psi_y, dtype=float)
+    psi_x = np.ascontiguousarray(psi_x, dtype=float)
+    psi_y = np.ascontiguousarray(psi_y, dtype=float)
     if psi_x.ndim != 2 or psi_x.shape[1] != n or psi_y.shape != psi_x.shape:
         raise ValueError(
             f"psi_x and psi_y must both have shape (m, {n}); "

@@ -44,7 +44,7 @@ SPECTRUM_THRESHOLD = 0.99
 # the test set: one block's Psi is alive at a time, 20 000 states or about
 # 13 MB at 84 monomials, against 134 MB for the whole vdp test set. Each
 # block costs one onestep_errors call per forecast, so much smaller blocks
-# only add calls.
+# only add calls. A block's Psi is monomial-major, as those products read best.
 _SCORE_BLOCK_STATES = 20_000
 
 # Stable codes for per-purpose RNG streams; never renumber.
@@ -136,7 +136,7 @@ class ExperimentConfig:
         if not 1 <= self.spectrum_train_pairs <= pairs:
             raise ValueError(f"spectrum_train_pairs must lie in [1, {pairs}]")
         if not 1 <= self.nstep_horizon <= self.test_length - 1:
-            raise ValueError("nstep_horizon must fit inside the test trajectories")
+            raise ValueError(f"nstep_horizon must lie in [1, {self.test_length - 1}]")
 
     @property
     def train_pairs(self) -> int:
@@ -318,7 +318,7 @@ def train_checkpoint_models(config: ExperimentConfig, data: ExperimentData, chec
     pairs. Returns {method: {pair_count: KoopmanModel}}.
     """
     dictionary = config.dictionary()
-    psi = dictionary.evaluate(data.train_states)
+    psi = np.ascontiguousarray(dictionary.evaluate(data.train_states))
     psi_x, psi_y = psi[:-1], psi[1:]
 
     checkpoints = sorted(checkpoints)
@@ -348,7 +348,8 @@ def onestep_errors(forecast: np.ndarray, psi_test: np.ndarray, test_states: np.n
     count, length, n_dic = psi_test.shape
     # Multiply all states and drop the last of each trajectory from the small
     # product: slicing psi_test first would copy the whole tensor every call.
-    # forecast @ psi.T leaves one contiguous plane per state coordinate.
+    # forecast @ psi.T leaves one contiguous plane per state coordinate; a
+    # multi-pass Psi is monomial-major, so BLAS reads psi.T without a repack.
     pred = (forecast @ psi_test.reshape(-1, n_dic).T).reshape(-1, count, length)[:, :, :-1]
     return relative_l2(test_states[:, 1:, :], np.moveaxis(pred, 0, -1))
 

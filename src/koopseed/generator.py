@@ -109,19 +109,20 @@ class PolynomialVectorField:
     def evaluate(self, x) -> np.ndarray:
         """Evaluate the field at a state or a batch of states (..., var_count).
 
-        One MonomialTable pass gives the C-contiguous (n, T) monomials, and
-        one product with ``_coef_t``, the (T, D) transpose view taken at
-        construction, contracts them. The operands' shapes and layouts pick
-        the BLAS routine and so the rounding: a single state goes through
-        gemv, as RK4's training state always has, and a batch through gemm;
-        a C-ordered copy of ``_coef_t`` would round a single state otherwise.
+        One MonomialTable call gives the (n, T) monomials, and one product
+        with ``_coef_t``, the (T, D) transpose view taken at construction,
+        contracts them. The operands' shapes and layouts pick the BLAS
+        routine and so the rounding: a single state goes through gemv, as
+        RK4's training state always has, and a batch through gemm; a
+        C-ordered copy of ``_coef_t`` would round a single state otherwise.
+        So it reads the monomials as rows; only a multi-pass batch is copied.
         """
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.var_count:
             raise ValueError(
                 f"state has {x.shape[-1]} variables, field expects {self.var_count}"
             )
-        return self._monomials(x) @ self._coef_t
+        return np.ascontiguousarray(self._monomials(x)) @ self._coef_t
 
     def __call__(self, x):
         return self.evaluate(x)

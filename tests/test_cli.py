@@ -9,6 +9,7 @@ import pytest
 
 from koopseed import cli, dynamics, experiments
 from koopseed.cli import main
+from koopseed.dictionary import Dictionary
 from koopseed.model import load_matrix_csv
 
 from test_experiments import tiny_config_dict
@@ -107,18 +108,50 @@ def test_train_batch_and_online(tiny_path, tmp_path):
 
 
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
-    # 142 pairs is the fewest at which two threads changed the bytes before
-    # the CLI pinned the BLAS (84 monomials, 2 cores)
+    # 142 pairs is the fewest at which two threads changed train-batch's
+    # bytes before the CLI pinned the BLAS (84 monomials, 2 cores);
+    # eval-onestep scores through products over the monomial-major test Psi
     main(["simulate", "--config", "duffing", "--out", str(tmp_path)])
     src = str(Path(__file__).resolve().parents[1] / "src")
+    runs = [
+        (["train-batch", "--traj", str(tmp_path / "train_seed0.csv"), "--pairs", "142"], "koopman_edmd_m142.csv"),
+        (["eval-onestep", "--seeds", "1", "--max-pairs", "1000", "--no-raw"], "onestep_summary.csv"),
+    ]
+    for argv, name in runs:
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}-threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            argv_out = [*argv, "--config", "duffing", "--out", str(out)]
+            subprocess.run([sys.executable, "-m", "koopseed.cli", *argv_out], env=env, check=True, capture_output=True)
+            written.append((out / name).read_bytes())
+        assert written[0] == written[1], argv[0]
+
+
+@pytest.mark.parametrize(
+    "command, name", [("train-online", "koopman_online_m200.csv"), ("train-batch", "koopman_edmd_m200.csv")]
+)
+def test_train_with_pairs_evaluates_only_the_states_it_uses(tmp_path, monkeypatch, command, name):
+    # --pairs 200 on the preset's 5001-state trajectory reads 201 states,
+    # and writes the bytes of a run on a file holding only those states
+    main(["simulate", "--config", "duffing", "--out", str(tmp_path)])
+    lines = (tmp_path / "train_seed0.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 1 + 5001
+    (tmp_path / "head.csv").write_text("".join(lines[: 1 + 201]))
+    evaluate = Dictionary.evaluate
+    rows = []
+
+    def recorded(dictionary, x):
+        rows.append(len(x))
+        return evaluate(dictionary, x)
+
+    monkeypatch.setattr(Dictionary, "evaluate", recorded)
     written = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        argv = ["train-batch", "--config", "duffing", "--traj", str(tmp_path / "train_seed0.csv")]
-        argv += ["--pairs", "142", "--out", str(out)]
-        subprocess.run([sys.executable, "-m", "koopseed.cli", *argv], env=env, check=True, capture_output=True)
-        written.append((out / "koopman_edmd_m142.csv").read_bytes())
+    for traj in ("train_seed0.csv", "head.csv"):
+        out = tmp_path / traj.removesuffix(".csv")
+        main([command, "--config", "duffing", "--traj", str(tmp_path / traj), "--pairs", "200", "--out", str(out)])
+        written.append((out / name).read_bytes())
+    assert rows == [201, 201]
     assert written[0] == written[1]
 
 

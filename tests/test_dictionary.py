@@ -152,6 +152,28 @@ def test_evaluate_matches_power_loop_across_the_chunk_boundary(rows):
     assert_same_bits(d.evaluate(x), power_loop(x, d.exponents))
 
 
+@pytest.mark.parametrize("shape", [(_CHUNK_ROWS + 1,), (2 * _CHUNK_ROWS + 1,), (3, 300)])
+def test_multi_pass_evaluate_is_a_monomial_major_view(shape):
+    # past one kernel pass the passes write one (count, n) array, so the
+    # flattened Psi's transpose is that array, C-contiguous and not a copy
+    d = build_dictionary(6, 3)
+    x = np.random.default_rng(len(shape)).uniform(-3.0, 3.0, shape + (6,))
+    psi = d.evaluate(x)
+    assert_same_bits(psi, power_loop(x, d.exponents))
+    flat_t = psi.reshape(-1, len(d)).T
+    assert flat_t.flags.c_contiguous
+    assert np.shares_memory(flat_t, psi)
+
+
+@pytest.mark.parametrize("shape", [(), (1,), (_CHUNK_ROWS,), (2, _CHUNK_ROWS // 2)])
+def test_single_pass_evaluate_is_c_contiguous(shape):
+    d = build_dictionary(6, 3)
+    x = np.random.default_rng(5).uniform(-3.0, 3.0, shape + (6,))
+    psi = d.evaluate(x)
+    assert psi.flags.c_contiguous
+    assert_same_bits(psi, power_loop(x, d.exponents))
+
+
 def test_evaluate_bits_do_not_depend_on_the_ufunc_buffer_size():
     # numpy squares instead of calling pow when an exponent is broadcast
     # along a row longer than half its buffer, so a small buffer would

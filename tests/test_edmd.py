@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from monomial_cases import assert_same_bits
 
 from koopseed import edmd
-from koopseed.dictionary import build_dictionary
+from koopseed.dictionary import _CHUNK_ROWS, build_dictionary
 from koopseed.dynamics import rk4_step, sample_initial, simulate
 from koopseed.edmd import (
     _BLOCK_PAIRS,
@@ -416,3 +417,27 @@ def test_one_row_step_matches_the_first_formulation_bit_for_bit(data, m, n):
     assert np.array_equal(state.matrix, before[0]) and np.array_equal(state.pinv, before[1])
     assert not np.shares_memory(new.matrix, state.matrix)
     assert not np.shares_memory(new.pinv, state.pinv)
+
+
+@given(st.data(), st.integers(1, 4), st.floats(-2.0, 3.0))
+def test_learners_give_the_same_bits_for_every_psi_layout(data, blocks, log_sigma):
+    # a multi-pass evaluation is a monomial-major view; the learners read
+    # C-contiguous rows of it, of a C copy and of an F copy alike. The chain
+    # has Woodbury blocks, split at a block multiple, and a trailing one-row block
+    d = build_dictionary(2, 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    view = d.evaluate(rng.uniform(-1.5, 1.5, (_CHUNK_ROWS + 1, 2)))
+    assert not view.flags.c_contiguous
+    count = blocks * _BLOCK_PAIRS + 1
+    cut = data.draw(st.integers(0, blocks)) * _BLOCK_PAIRS
+    seed = 0.1 * rng.standard_normal((len(d), len(d)))
+    sigma = 10.0**log_sigma
+    results = []
+    for layout in (np.ascontiguousarray, np.asfortranarray, lambda a: a):
+        X, Y = layout(view[:count]), layout(view[1 : count + 1])
+        state = online_update_many(online_init(seed, sigma), X[:cut], Y[:cut])
+        state = online_update_many(state, X[cut:], Y[cut:])
+        results.append((state.matrix, state.pinv, batch_edmd_from_psi(d, X, Y).matrix))
+    for got in results[1:]:
+        for a, b in zip(results[0], got):
+            assert_same_bits(a, b)

@@ -334,6 +334,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"^init range 2 .* must be finite with lo <= hi$"):
             config_from_dict(tiny_config_dict(init_ranges=ranges))
 
+    @pytest.mark.parametrize("horizon", [0, 61])
+    def test_nstep_horizon_names_its_interval(self, tiny_config, horizon):
+        # tiny_config's test trajectories hold 61 states, so 60 steps
+        with pytest.raises(ValueError, match=r"^nstep_horizon must lie in \[1, 60\]$"):
+            override_config(tiny_config, nstep_horizon=horizon)
+
     def test_override_revalidates(self, tiny_config):
         smaller = override_config(tiny_config, seeds=1)
         assert smaller.seeds == 1
@@ -699,6 +705,23 @@ class TestOnestepErrors:
                 forecast = forecast_matrices(models[method][cp], [1])[0][1]
                 expected = onestep_errors(forecast, psi, data.test_states)
                 assert np.array_equal(errors[i, j], expected)
+
+    # 3 trajectories of 300 states, so a block spans more than one dictionary
+    # pass: the whole set in one block, and blocks of two trajectories and
+    # then one, which is a single pass
+    @pytest.mark.parametrize("bound", [10**6, 600])
+    def test_multi_pass_blocks_score_like_row_major_psi(self, tiny_config, monkeypatch, bound):
+        monkeypatch.setattr(experiments, "_SCORE_BLOCK_STATES", bound)
+        config = override_config(tiny_config, test_count=3, test_steps=299, seeds=1)
+        dictionary = config.dictionary()
+        data = generate_data(config, 0)
+        models = train_checkpoint_models(config, data, config.checkpoints())
+        keys, errors = experiments._onestep_scores(config, dictionary, 0, data, models, [])
+        psi = np.ascontiguousarray(dictionary.evaluate(data.test_states))
+        for i, cp in enumerate(keys):
+            for j, method in enumerate(METHODS):
+                forecast = forecast_matrices(models[method][cp], [1])[0][1]
+                assert np.array_equal(errors[i, j], onestep_errors(forecast, psi, data.test_states))
 
     def test_test_tensor_is_never_evaluated_whole(self, tiny_config, monkeypatch):
         # one trajectory per block; each block's Psi must be gone before the
