@@ -42,9 +42,11 @@ SPECTRUM_THRESHOLD = 0.99
 # States per block of one-step scoring (a block holds whole trajectories, at
 # least one). Like dictionary._CHUNK_ROWS, it bounds memory independently of
 # the test set: one block's Psi is alive at a time, 20 000 states or about
-# 13 MB at 84 monomials, against 134 MB for the whole vdp test set. Each
-# block costs one onestep_errors call per forecast, so much smaller blocks
-# only add calls. A block's Psi is monomial-major, as those products read best.
+# 13 MB at 84 monomials, against 134 MB for the whole vdp test set, and the
+# summaries fold each block's errors as they come, so no per-point array is
+# held without raw output. Each block costs one onestep_errors call per
+# forecast, so much smaller blocks only add calls (at 10 000 the vdp peak
+# rose). A block's Psi is monomial-major, as those products read best.
 _SCORE_BLOCK_STATES = 20_000
 
 # Stable codes for per-purpose RNG streams; never renumber.
@@ -432,45 +434,67 @@ def save_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
     write_csv(path, "re,im,abs", ((mu.real, mu.imag, abs(mu)) for mu in eigenvalues))
 
 
-def _onestep_scores(config, dictionary, s, data, models, notes) -> tuple:
-    """One seed's one-step errors of both methods at every checkpoint, as
-    (keys, errors): keys are the checkpoints, and errors[i, j] holds the
-    (test_count, length-1) errors of METHODS[j] at keys[i].
+def _merge_moments(a: tuple, b: tuple) -> tuple:
+    """(count, mean, var) of two disjoint sets pooled, from each set's own, by
+    the pairwise update of Chan, Golub and LeVeque (1983) on M2 = count * var.
+    It adds no squares of the values, which cancel when the std is far below
+    the mean. Counts are scalars; means and variances may be arrays."""
+    (n_a, mean_a, var_a), (n_b, mean_b, var_b) = a, b
+    n = n_a + n_b
+    delta = mean_b - mean_a
+    m2 = n_a * var_a + n_b * var_b + delta**2 * n_a * n_b / n
+    return n, mean_a + delta * n_b / n, m2 / n
 
-    The forecasts, the state rows of each K, are formed first. They are
-    exact, so ``notes`` gets no forecast path. The test set is then scored
-    in blocks of whole trajectories of at most ``_SCORE_BLOCK_STATES``
-    states (one trajectory when a trajectory is longer than that): each
-    block's Psi is evaluated once, passed to ``onestep_errors`` with every
-    forecast and released before the next block's, so one block's Psi is
-    alive at a time. Every error is computed elementwise or by a product whose
-    per-element order does not depend on the block, so the errors equal
-    those of one pass over the whole Psi tensor, which is never held.
+
+def _onestep_scores(config, dictionary, data, models, keep_raw: bool) -> tuple:
+    """One seed's one-step errors of both methods at every checkpoint, as
+    (summary, errors): the summary's keys are the checkpoints, and with
+    ``keep_raw`` errors[i, j] holds the (test_count, length-1) errors of
+    METHODS[j] at keys[i]; without it errors is None.
+
+    The forecasts, the state rows of each K, are formed first. The test set
+    is then scored in blocks of whole trajectories of at most
+    ``_SCORE_BLOCK_STATES`` states (one trajectory when a trajectory is
+    longer than that): each block's Psi is evaluated once, passed to
+    ``onestep_errors`` with every forecast and released before the next
+    block's, so one block's Psi is alive at a time. Every error is computed
+    elementwise or by a product whose per-element order does not depend on
+    the block, so the errors equal those of one pass over the whole Psi
+    tensor, which is never held. Each cell's summary folds the blocks'
+    ``np.mean`` and ``np.var`` by ``_merge_moments``, so one block gives
+    ``np.mean`` and ``np.std`` bit for bit.
     """
     test_states = data.test_states
     count, length = test_states.shape[:2]
     keys = config.checkpoints()
-    errors = np.empty((len(keys), len(METHODS), count, length - 1))
-    forecasts = {}
-    for i, cp in enumerate(keys):
-        for j, method in enumerate(METHODS):
-            forecasts[i, j] = forecast_matrices(models[method][cp], [1])[0][1]
+    shape = (len(keys), len(METHODS))
+    errors = np.empty(shape + (count, length - 1)) if keep_raw else None
+    forecasts = {(i, j): forecast_matrices(models[METHODS[j]][keys[i]], [1])[0][1] for i, j in np.ndindex(shape)}
+    moments = None
     step = max(1, _SCORE_BLOCK_STATES // length)
     for lo in range(0, count, step):
         states = test_states[lo : lo + step]
         psi = dictionary.evaluate(states)
+        mean, var = np.empty(shape), np.empty(shape)
         for cell, forecast in forecasts.items():
-            errors[cell][lo : lo + step] = onestep_errors(forecast, psi, states)
+            block = onestep_errors(forecast, psi, states)
+            mean[cell], var[cell] = np.mean(block), np.var(block)
+            if errors is not None:
+                errors[cell][lo : lo + step] = block
         # Rebinding psi would free this block's Psi only after the next one
         # is built, so two blocks would be alive at the peak.
         del psi
-    return keys, errors
+        part = (states.shape[0] * (length - 1), mean, var)
+        moments = part if moments is None else _merge_moments(moments, part)
+    n, mean, var = moments
+    return ErrorSummary(keys, mean, np.sqrt(var), np.full(shape, n)), errors
 
 
 def _nstep_scores(config, dictionary, s, data, models, notes) -> tuple:
     """One seed's n-step errors of both methods trained on
-    ``nstep_train_pairs`` pairs, as (keys, errors): keys are n = 1..horizon,
-    and errors[n-1, j] holds the (test_count,) errors of METHODS[j]."""
+    ``nstep_train_pairs`` pairs, as (summary, errors): the keys are
+    n = 1..horizon, and errors[n-1, j] holds the (test_count,) errors of
+    METHODS[j]."""
     pairs = config.nstep_train_pairs
     keys = list(range(1, config.nstep_horizon + 1))
     psi0 = dictionary.evaluate(data.test_states[:, 0, :])
@@ -480,11 +504,11 @@ def _nstep_scores(config, dictionary, s, data, models, notes) -> tuple:
         if path != "spectral" and config.nstep_horizon > 1:  # horizon 1 is a row read
             notes.append(f"seed={s} pairs={pairs} method={method} forecast-path={path}")
         errors[:, j] = nstep_errors(mats, psi0, data.test_states, len(keys))
-    return keys, errors
+    return _summary_from_errors(keys, errors), errors
 
 
-# Scored stage -> one seed's scorer.
-_SCORED = {"onestep": _onestep_scores, "nstep": _nstep_scores}
+# The stages scored per seed, in run order.
+_SCORED = ("onestep", "nstep")
 
 
 def run_experiments(
@@ -506,7 +530,10 @@ def run_experiments(
     scored stage's per-point errors of seed s as ``<stage>_raw_seed<s>.npy``:
     the scorer's ``errors`` array, where ``errors[i, j]`` holds the errors of
     ``keys[i]`` and ``METHODS[j]`` (summary row ``2 * i + j``) and
-    ``np.mean(errors[i, j])`` is that row's per-seed mean. A reused
+    ``np.mean(errors[i, j])`` equals that row's per-seed mean to within a
+    few ulps (bit for bit when a seed's one-step test set is one block).
+    Without raw output the one-step stage holds no per-point array: its
+    summaries fold block by block, to the same bytes as with it. A reused
     ``out_dir`` first loses the per-seed, raw and notes files of the stages
     run, so none of an earlier run's is left beside the new summaries.
     """
@@ -532,6 +559,7 @@ def run_experiments(
         for name in os.listdir(out_dir):
             if any(fnmatch.fnmatch(name, pattern) for pattern in stale):
                 os.remove(os.path.join(out_dir, name))
+    keep_raw = out_dir is not None and write_raw
     per_seed = {stage: [] for stage in scored}
     notes = {stage: [] for stage in scored}
     counts = {m: [] for m in METHODS}
@@ -541,13 +569,15 @@ def run_experiments(
         models = train_checkpoint_models(config, data, pairs)
         with np.errstate(over="ignore", invalid="ignore"):  # forecast blow-ups are data
             for stage in scored:
-                keys, errors = _SCORED[stage](config, dictionary, s, data, models, notes[stage])
-                summary = _summary_from_errors(keys, errors)
+                if stage == "onestep":
+                    summary, errors = _onestep_scores(config, dictionary, data, models, keep_raw)
+                else:
+                    summary, errors = _nstep_scores(config, dictionary, s, data, models, notes[stage])
                 per_seed[stage].append(summary)
                 if out_dir is None:
                     continue
                 summary.write_csv(os.path.join(out_dir, f"{stage}_summary_seed{s}.csv"))
-                if write_raw:
+                if keep_raw:
                     np.save(os.path.join(out_dir, f"{stage}_raw_seed{s}.npy"), errors)
         if "spectrum" in stages:
             for method in METHODS:

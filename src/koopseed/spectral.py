@@ -158,7 +158,7 @@ def forecast_matrices(model: KoopmanModel, horizons) -> tuple:
         except (DefectiveDecompositionError, ValueError):
             pass
     K, rows = model.matrix, model.dictionary.state_indices()
-    M = [state_projector(model.dictionary), K[rows]]
+    M = [state_projector(model.dictionary) if 0 in horizons else None, K[rows]]
     while len(M) <= max(horizons, default=0):
         M.append(M[-1] @ K)
     return {n: M[n] for n in horizons}, "matrix-power"

@@ -110,21 +110,24 @@ def test_train_batch_and_online(tiny_path, tmp_path):
 def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # 142 pairs is the fewest at which two threads changed train-batch's
     # bytes before the CLI pinned the BLAS (84 monomials, 2 cores);
-    # eval-onestep scores through products over the monomial-major test Psi
+    # eval-onestep scores through products over the monomial-major test Psi,
+    # eval-nstep through spectral forecasts and spectrum through eigvals
     main(["simulate", "--config", "duffing", "--out", str(tmp_path)])
     src = str(Path(__file__).resolve().parents[1] / "src")
     runs = [
-        (["train-batch", "--traj", str(tmp_path / "train_seed0.csv"), "--pairs", "142"], "koopman_edmd_m142.csv"),
-        (["eval-onestep", "--seeds", "1", "--max-pairs", "1000", "--no-raw"], "onestep_summary.csv"),
+        (["train-batch", "--traj", str(tmp_path / "train_seed0.csv"), "--pairs", "142"], ["koopman_edmd_m142.csv"]),
+        (["eval-onestep", "--seeds", "1", "--max-pairs", "1000", "--no-raw"], ["onestep_summary.csv"]),
+        (["eval-nstep", "--seeds", "1", "--pairs", "500", "--horizon", "20", "--no-raw"], ["nstep_summary.csv"]),
+        (["spectrum", "--seeds", "1", "--pairs", "500"], ["spectrum_counts.csv", "spectrum_seed0_edmd.csv"]),
     ]
-    for argv, name in runs:
+    for argv, names in runs:
         written = []
         for threads in ("1", "2"):
             out = tmp_path / f"{argv[0]}-threads{threads}"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
             argv_out = [*argv, "--config", "duffing", "--out", str(out)]
             subprocess.run([sys.executable, "-m", "koopseed.cli", *argv_out], env=env, check=True, capture_output=True)
-            written.append((out / name).read_bytes())
+            written.append([(out / name).read_bytes() for name in names])
         assert written[0] == written[1], argv[0]
 
 

@@ -1,10 +1,14 @@
 import dataclasses
+import functools
 import json
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from koopseed import experiments, spectral
@@ -462,6 +466,13 @@ def _assert_summary_reduces_raw(out, stage, s, keys) -> np.ndarray:
     return raw
 
 
+def three_blocks(tiny_config, patch):
+    """tiny_config with 8 test trajectories of 61 states, scored in blocks of
+    at most 183 states: three blocks, of 3, 3 and 2 trajectories."""
+    patch.setattr(experiments, "_SCORE_BLOCK_STATES", 183)
+    return override_config(tiny_config, test_count=8)
+
+
 class TestExperimentDrivers:
     def test_onestep_summary_and_raw_agree(self, tiny_config, tmp_path):
         out = tmp_path / "run"
@@ -664,11 +675,74 @@ class TestExperimentDrivers:
             assert summary.mean[cell] == np.mean([s.mean[cell] for s in per_seed])
             assert summary.std[cell] == np.mean([s.std[cell] for s in per_seed])
 
+    def test_multi_block_summaries_match_the_raw_moments(self, tiny_config, monkeypatch, tmp_path):
+        cfg = three_blocks(tiny_config, monkeypatch)
+        run_experiments(cfg, ("onestep",), tmp_path)
+        for s in range(cfg.seeds):
+            raw = np.load(tmp_path / f"onestep_raw_seed{s}.npy")
+            rows = np.loadtxt(tmp_path / f"onestep_summary_seed{s}.csv", delimiter=",", skiprows=1, usecols=(2, 3, 4))
+            assert raw.shape[2] == 8 and len(rows) == raw.shape[0] * raw.shape[1]
+            for row, (mean, std, count) in enumerate(rows):
+                cell = raw[divmod(row, len(METHODS))]
+                assert count == cell.size
+                assert mean == pytest.approx(np.mean(cell), rel=1e-14, abs=0)
+                assert std == pytest.approx(np.std(cell), rel=1e-14, abs=0)
+
+    def test_summaries_with_and_without_raw_output_are_byte_equal(self, tiny_config, monkeypatch, tmp_path):
+        cfg = three_blocks(tiny_config, monkeypatch)
+        with_raw, without = tmp_path / "raw", tmp_path / "no-raw"
+        summary = run_experiments(cfg, ("onestep",), with_raw, write_raw=True)["onestep"]
+        run_experiments(cfg, ("onestep",), without, write_raw=False)
+        names = sorted(p.name for p in without.iterdir())
+        assert names == ["onestep_summary.csv", "onestep_summary_seed0.csv", "onestep_summary_seed1.csv"]
+        for name in names:
+            assert (with_raw / name).read_bytes() == (without / name).read_bytes(), name
+        unwritten = run_experiments(cfg, ("onestep",))["onestep"]
+        assert np.array_equal(unwritten.mean, summary.mean) and np.array_equal(unwritten.std, summary.std)
+
+    def test_onestep_stage_holds_no_per_point_array_without_raw_output(self, tiny_config, monkeypatch):
+        # 40 trajectories of 300 states, one per block, at 10 checkpoints: the
+        # per-seed error array would take 1.9 MB, and a block's Psi 36 kB
+        cfg = override_config(tiny_config, test_count=40, test_steps=299, checkpoint_stride=26, seeds=1)
+        monkeypatch.setattr(experiments, "_SCORE_BLOCK_STATES", cfg.test_length)
+        would_be = np.empty((len(cfg.checkpoints()), len(METHODS), cfg.test_count, cfg.test_length - 1)).nbytes
+        assert would_be > 1.9e6
+        scores, peaks = experiments._onestep_scores, []
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            out = scores(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+            return out
+
+        monkeypatch.setattr(experiments, "_onestep_scores", traced)
+        tracemalloc.start()
+        try:
+            run_experiments(cfg, ("onestep",))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1 and 0 < peaks[0] < would_be
+
     def test_methods_share_test_data(self, tiny_config):
         # identical counts per method at each checkpoint: same trajectories,
         # same points, same metric
         summary = run_experiments(override_config(tiny_config, seeds=1), ("onestep",))["onestep"]
         assert (summary.count == summary.count[:, :1]).all()
+
+
+@given(st.data(), st.integers(2, 400), st.floats(0.0, 0.5))
+def test_merged_moments_match_numpy_over_any_split(data, size, log_std):
+    # values about 1e3 with a std of 1 to 3: a merge by sums of squares loses
+    # about 1e-9 of the std there, the pairwise update about 1e-13
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = 1e3 + 10.0**log_std * rng.standard_normal(size)
+    cuts = sorted(set(data.draw(st.lists(st.integers(1, size - 1), min_size=1, max_size=7))))
+    parts = [(part.size, np.mean(part), np.var(part)) for part in np.split(values, cuts)]
+    n, mean, var = functools.reduce(experiments._merge_moments, parts)
+    assert n == size
+    assert mean == pytest.approx(np.mean(values), rel=1e-12, abs=0)
+    assert np.sqrt(var) == pytest.approx(np.std(values), rel=1e-12, abs=0)
 
 
 class TestOnestepErrors:
@@ -697,10 +771,10 @@ class TestOnestepErrors:
         dictionary = tiny_config.dictionary()
         data = generate_data(tiny_config, 0)
         models = train_checkpoint_models(tiny_config, data, tiny_config.checkpoints())
-        keys, errors = experiments._onestep_scores(tiny_config, dictionary, 0, data, models, [])
+        summary, errors = experiments._onestep_scores(tiny_config, dictionary, data, models, True)
         psi = dictionary.evaluate(data.test_states)
-        assert keys == tiny_config.checkpoints()
-        for i, cp in enumerate(keys):
+        assert summary.keys == tiny_config.checkpoints()
+        for i, cp in enumerate(summary.keys):
             for j, method in enumerate(METHODS):
                 forecast = forecast_matrices(models[method][cp], [1])[0][1]
                 expected = onestep_errors(forecast, psi, data.test_states)
@@ -716,9 +790,9 @@ class TestOnestepErrors:
         dictionary = config.dictionary()
         data = generate_data(config, 0)
         models = train_checkpoint_models(config, data, config.checkpoints())
-        keys, errors = experiments._onestep_scores(config, dictionary, 0, data, models, [])
+        summary, errors = experiments._onestep_scores(config, dictionary, data, models, True)
         psi = np.ascontiguousarray(dictionary.evaluate(data.test_states))
-        for i, cp in enumerate(keys):
+        for i, cp in enumerate(summary.keys):
             for j, method in enumerate(METHODS):
                 forecast = forecast_matrices(models[method][cp], [1])[0][1]
                 assert np.array_equal(errors[i, j], onestep_errors(forecast, psi, data.test_states))

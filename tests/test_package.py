@@ -129,18 +129,36 @@ def test_bench_hooked_names_resolve():
 
 
 def test_derive_runs_without_scipy(tmp_path):
-    # in a fresh interpreter, so that no module the tests import counts
+    # in a fresh interpreter, so that no module the tests import counts, and
+    # with scipy and mpmath unimportable, as on an install without them
+    config = tmp_path / "tiny.json"
+    config.write_text(json.dumps(tiny_config_dict()))
+    traj = tmp_path / "train_seed0.csv"
+    runs = [
+        (["derive", "--config", "duffing"], ["seed_matrix.csv"]),
+        (["simulate"], ["train_seed0.csv"]),
+        (["train-online", "--traj", str(traj)], ["koopman_online_m260.csv"]),
+        (["train-batch", "--traj", str(traj)], ["koopman_edmd_m260.csv"]),
+        (["eval-onestep"], ["onestep_summary.csv", "onestep_raw_seed1.npy"]),
+        (["eval-nstep"], ["nstep_summary.csv", "nstep_raw_seed1.npy"]),
+        (["spectrum"], ["spectrum_counts.csv", "spectrum_seed1_edmd.csv"]),
+    ]
+    calls = "".join(
+        f"main({[*argv, *([] if argv[0] == 'derive' else ['--config', str(config)]), '--out', str(tmp_path)]!r})\n"
+        for argv, _ in runs
+    )
     script = (
         "import sys\n"
+        "sys.modules['scipy'] = sys.modules['mpmath'] = None\n"
         "from koopseed.cli import main\n"
-        f"main(['derive', '--config', 'duffing', '--out', {str(tmp_path)!r}])\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        f"{calls}"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') and sys.modules[m]))\n"
     )
     path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.splitlines()[-1] == "[]"
-    assert (tmp_path / "seed_matrix.csv").exists()
+    assert [name for _, names in runs for name in names if not (tmp_path / name).exists()] == []
 
 
 def test_suite_runs_the_blas_on_one_thread():

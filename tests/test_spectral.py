@@ -318,6 +318,22 @@ class TestForecastMatrices:
                 for n, M in mats.items():
                     assert_same_bits(M, expected[n])
 
+    def test_only_horizon_zero_builds_the_projector(self, monkeypatch):
+        # a one-step query reads K's state rows and builds no B; on the
+        # recursion path [0, 1, 2] still gives B, B K and B K^2
+        built = []
+        projector = spectral.state_projector
+        monkeypatch.setattr(spectral, "state_projector", lambda d: built.append(d) or projector(d))
+        d = build_dictionary(1, 2)
+        rows, model = d.state_indices(), KoopmanModel(d, JORDAN_K)
+        mats, path = forecast_matrices(model, [1])
+        assert (sorted(mats), path, built) == ([1], "matrix-power", [])
+        assert_same_bits(mats[1], JORDAN_K[rows])
+        mats, path = forecast_matrices(model, [0, 1, 2])
+        assert (sorted(mats), path, len(built)) == ([0, 1, 2], "matrix-power", 1)
+        for n, expected in enumerate((projector(d), JORDAN_K[rows], JORDAN_K[rows] @ JORDAN_K)):
+            assert_same_bits(mats[n], expected)
+
     @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 3), (2, 2), (2, 3)]))
     def test_defective_forecasts_are_the_state_row_recursion(self, seed, shape):
         # one eigenvalue in a chain of Jordan blocks: decompose flags it, and
